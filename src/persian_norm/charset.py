@@ -14,8 +14,6 @@ from functools import lru_cache
 
 from .resources import emoji_ranges, table
 
-PERSIAN_DIGITS = "۰۱۲۳۴۵۶۷۸۹"
-
 
 @lru_cache(maxsize=None)
 def _char_tables():

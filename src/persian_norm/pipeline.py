@@ -10,14 +10,14 @@ from dataclasses import dataclass, field, replace
 from . import charset
 from .numwords import cardinal_words, decimal_words
 from .scanner import Calendar, SemioticClass, SemioticSpan, ascii_digits, scan
-from .segmenter import DEFAULT_VERB_SPLIT_THRESHOLD
 from .verbalize import (
+    GroupedReadings,
     PolicyMode,
     SelectionPolicy,
     date_variants,
     expand_abbreviation,
-    grouped_id_variants,
-    phone_variants,
+    grouped_id_readings,
+    phone_readings,
     time_variants,
     verbalize_fraction,
     verbalize_symbol,
@@ -50,7 +50,6 @@ class PipelineConfig:
     enabled_passes: frozenset = frozenset(PASS_NAMES)
     policy: SelectionPolicy = field(default_factory=SelectionPolicy.fixed)
     calendar_default: Calendar = Calendar.SOLAR_HIJRI
-    verb_split_threshold: int = DEFAULT_VERB_SPLIT_THRESHOLD
     url_word_style: str = "latin"
 
     def __post_init__(self):
@@ -73,20 +72,31 @@ def normalize_general(text: str, config: PipelineConfig | None = None) -> str:
     return text
 
 
+_GROUPED_IDS = (SemioticClass.NATIONAL_ID, SemioticClass.CARD_NUMBER,
+                SemioticClass.LONG_NUMBER, SemioticClass.SHEBA)
+
+
+def grouped_readings(span: SemioticSpan) -> GroupedReadings | None:
+    """The readings of a span read in digit groups; None for other classes."""
+    if span.cls is SemioticClass.PHONE:
+        return phone_readings(span.raw, span.data["kind"])
+    if span.cls in _GROUPED_IDS:
+        return grouped_id_readings(span.raw, span.cls)
+    return None
+
+
 def span_variants(span: SemioticSpan, config: PipelineConfig) -> list[str]:
     """All legitimate spoken renderings for one classified span."""
     cls = span.cls
+    family = grouped_readings(span)
+    if family is not None:
+        return family.readings()
     if cls is SemioticClass.DATE:
         return date_variants(span.data["date"])
     if cls is SemioticClass.TIME:
         return time_variants(
             span.data["hour"], span.data["minute"], span.data["second"]
         )
-    if cls is SemioticClass.PHONE:
-        return phone_variants(ascii_digits(span.raw), span.data["kind"])
-    if cls in (SemioticClass.NATIONAL_ID, SemioticClass.CARD_NUMBER,
-               SemioticClass.LONG_NUMBER, SemioticClass.SHEBA):
-        return grouped_id_variants(ascii_digits(span.raw), cls)
     if cls in (SemioticClass.URL, SemioticClass.EMAIL):
         return [verbalize_url_email(span.raw, style=config.url_word_style)]
     if cls is SemioticClass.CURRENCY:
@@ -138,12 +148,16 @@ def normalize_speech(text: str, config: PipelineConfig | None = None) -> str:
     spans = scan(text, config)
     if not spans:
         return text
-    rng = (random.Random(config.policy.seed)
-           if config.policy.mode is PolicyMode.SEEDED_RANDOM else None)
-    replacements = [
-        config.policy.choose(span_variants(span, config), rng)
-        for span in spans
-    ]
+    policy = config.policy
+    rng = (random.Random(policy.seed)
+           if policy.mode is PolicyMode.SEEDED_RANDOM else None)
+    replacements = []
+    for span in spans:
+        family = grouped_readings(span)
+        if family is None:
+            replacements.append(policy.choose(span_variants(span, config), rng))
+        else:
+            replacements.append(family.render(policy.pick(family.count(), rng)))
     return _assemble(text, spans, replacements)
 
 
@@ -154,15 +168,20 @@ def enumerate_verbalizations(text: str, config: PipelineConfig | None = None) ->
     spans = scan(normalized, config)
     if not spans:
         return [normalize_speech(text, config)]
-    variant_lists = [span_variants(span, config) for span in spans]
+    # a grouped-digit span is counted before any of its readings is built
+    families = [grouped_readings(span) for span in spans]
+    variant_lists = [span_variants(span, config) if family is None else None
+                     for span, family in zip(spans, families)]
     count = 1
-    for vl in variant_lists:
-        count *= len(vl)
+    for family, vl in zip(families, variant_lists):
+        count *= len(vl) if family is None else family.count()
         if count > ENUMERATION_CAP:
             raise ValueError(
                 f"enumeration would produce more than {ENUMERATION_CAP} "
                 f"outputs ({count}+)"
             )
+    variant_lists = [family.readings() if vl is None else vl
+                     for family, vl in zip(families, variant_lists)]
     seen = set()
     out = []
     for combo in itertools.product(*variant_lists):

@@ -8,6 +8,7 @@ text and returns typed, non-overlapping spans for the verbalizers.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -157,8 +158,6 @@ def infer_calendar(year: int, default: Calendar = Calendar.SOLAR_HIJRI,
         return Calendar.LUNAR_HIJRI
     if year >= 1700:
         return Calendar.GREGORIAN
-    if 1000 <= year < 1700:
-        return default
     return default
 
 
@@ -236,9 +235,6 @@ def validate_sheba(candidate: str) -> bool:
 
 # --- detectors -------------------------------------------------------------
 
-_Candidate = tuple  # (cls, start, end, data)
-
-
 def _date_candidates(text, config):
     pat = re.compile(
         rf"(?<!{D})({D}{{1,4}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
@@ -288,7 +284,10 @@ def _url_candidates(text, config):
     pat = re.compile(
         r"(?:https?|ftp)://\S+"
         r"|www\.\S+"
-        rf"|(?<![\w@.\-])(?:[A-Za-z0-9\-]+\.)+{tld}(?:/\S*)?",
+        rf"|(?<![\w@.\-])(?:[A-Za-z0-9\-]+\.)+{tld}(?:/\S*)?"
+        # ends neither inside a word, nor before "@" (an email's local part),
+        # nor before a dot that goes on ("a.com.au", "a.info@b.com")
+        r"(?![\w@]|\.[\w@])",
     )
     out = []
     for m in pat.finditer(text):
@@ -492,15 +491,18 @@ def scan(text: str, config=None) -> list[SemioticSpan]:
     candidates.sort(
         key=lambda c: (_PRIORITY_INDEX[c[0]], -(c[2] - c[1]), c[1])
     )
-    taken: list[tuple[int, int]] = []
-    accepted = []
+    # accepted spans are disjoint, so sorted by start they are sorted by end
+    # too; a candidate overlaps one exactly when the first span ending after
+    # its start begins before its end
+    starts: list[int] = []
+    ends: list[int] = []
+    accepted: list[SemioticSpan] = []
     for cls, start, end, data in candidates:
-        if any(start < e and s < end for s, e in taken):
+        i = bisect_right(ends, start)
+        if i < len(starts) and starts[i] < end:
             continue
-        taken.append((start, end))
-        accepted.append(
-            SemioticSpan(start=start, end=end, cls=cls,
-                         raw=text[start:end], data=data)
-        )
-    accepted.sort(key=lambda sp: sp.start)
+        starts.insert(i, start)
+        ends.insert(i, end)
+        accepted.insert(i, SemioticSpan(start=start, end=end, cls=cls,
+                                        raw=text[start:end], data=data))
     return accepted

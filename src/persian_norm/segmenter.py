@@ -9,9 +9,11 @@ lexicon (a pluggable stand-in for a full POS tagger).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .numwords import ZWNJ
 from .resources import lexicon_entries
 from .scanner import SemioticClass, scan
 
@@ -26,8 +28,6 @@ _DOT_BEARING = {
     SemioticClass.ABBREV_FA,
     SemioticClass.ABBREV_EN,
 }
-
-ZWNJ = "‌"
 
 
 @dataclass(frozen=True)
@@ -111,28 +111,23 @@ def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
     return sorted(intervals)
 
 
-def _in_intervals(pos: int, intervals: list[tuple[int, int]]) -> bool:
-    return any(s <= pos < e for s, e in intervals)
+_TERMINAL_RUN = re.compile(f"[{re.escape(TERMINAL_MARKS)}]+")
 
 
 def _split_on_terminals(text: str, protected) -> list[str]:
+    """Split after each run of terminal marks ("...", "?!", "؟؟") that holds
+    a mark outside every protected interval (sorted and disjoint)."""
+    starts = [s for s, _ in protected]
     segments = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in TERMINAL_MARKS and not _in_intervals(i, protected):
-            # consume a full run of terminal marks ("...", "?!", "؟؟")
-            j = i
-            while j + 1 < n and text[j + 1] in TERMINAL_MARKS:
-                j += 1
-            segments.append(text[start:j + 1])
-            start = j + 1
-            i = j + 1
-        else:
-            i += 1
-    if start < n:
+    for run in _TERMINAL_RUN.finditer(text):
+        for pos in range(run.start(), run.end()):
+            k = bisect_right(starts, pos) - 1
+            if k < 0 or pos >= protected[k][1]:
+                segments.append(text[start:run.end()])
+                start = run.end()
+                break
+    if start < len(text):
         segments.append(text[start:])
     return segments
 

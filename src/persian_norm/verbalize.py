@@ -11,7 +11,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .numwords import ZWNJ, cardinal_words, decimal_words, grouped_digit_words, ordinal_words
 from .resources import date_templates, table
@@ -45,17 +45,23 @@ class SelectionPolicy:
     def seeded(cls, seed: int) -> "SelectionPolicy":
         return cls(mode=PolicyMode.SEEDED_RANDOM, seed=seed)
 
-    def choose(self, options: list[str], rng: random.Random | None = None) -> str:
-        if not options:
+    def pick(self, count: int, rng: random.Random | None = None) -> int:
+        """Index of the option this policy takes among ``count`` options.
+
+        SEEDED draws ``rng.randrange(count)``, the same draw as
+        ``rng.choice`` on a list of ``count`` options.
+        """
+        if count < 1:
             raise ValueError("no options to choose from")
         if self.mode is PolicyMode.FIXED:
-            if self.index >= len(options):
-                return options[0]
-            return options[self.index]
+            return self.index if self.index < count else 0
         if self.mode is PolicyMode.SEEDED_RANDOM:
             rng = rng if rng is not None else random.Random(self.seed)
-            return rng.choice(options)
+            return rng.randrange(count)
         raise ValueError("ENUMERATE_ALL has no single choice")
+
+    def choose(self, options: list[str], rng: random.Random | None = None) -> str:
+        return options[self.pick(len(options), rng)]
 
 
 @lru_cache(maxsize=None)
@@ -69,6 +75,48 @@ def compositions(n: int, parts: tuple[int, ...] = (3, 2)) -> tuple[tuple[int, ..
             for rest in compositions(n - p, parts):
                 out.append((p,) + rest)
     return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _count_window(n: int) -> tuple[int, int, int]:
+    """``(c(n-2), c(n-1), c(n))`` where ``c(m) = len(compositions(m))``.
+
+    Iterates ``c(m) = c(m-3) + c(m-2)`` up from ``c(-2) = c(-1) = 0``,
+    ``c(0) = 1``.
+    """
+    a, b, c = 0, 0, 1
+    for _ in range(n):
+        a, b, c = b, c, a + b
+    return a, b, c
+
+
+def composition_count(n: int) -> int:
+    """``len(compositions(n))``, without building a composition."""
+    return _count_window(n)[2] if n >= 0 else 0
+
+
+def composition_at(n: int, index: int) -> tuple[int, ...]:
+    """``compositions(n)[index]`` for ``0 <= index``, without building the
+    others: a 3 comes first while ``index`` is below the count of the
+    compositions that start with 3."""
+    a, b, c = _count_window(n)
+    if not 0 <= index < c:
+        raise IndexError(f"composition {index} of {n} out of range ({c})")
+    sizes = []
+    while n:
+        # step the window down with c(m-3) = c(m) - c(m-2)
+        threes = c - a          # c(n-3): those that start with 3
+        c4 = b - threes         # c(n-4)
+        if index < threes:
+            sizes.append(3)
+            n -= 3
+            a, b, c = a - c4, c4, threes
+        else:
+            index -= threes
+            sizes.append(2)
+            n -= 2
+            a, b, c = c4, threes, a
+    return tuple(sizes)
 
 
 # --- dates -----------------------------------------------------------------
@@ -126,56 +174,137 @@ def verbalize_time(hour: int, minute: int, second: int | None = None,
     return policy.choose(time_variants(hour, minute, second), rng)
 
 
-# --- phone numbers ---------------------------------------------------------
+# --- digit groups: phone numbers, IDs, cards, Sheba ------------------------
 
-def _grouped_variants(digits: str) -> list[str]:
-    out = []
-    for sizes in compositions(len(digits)):
-        out.append(grouped_digit_words(digits, list(sizes)))
-    return out
+class GroupedReadings:
+    """The readings of a digit string spoken a group at a time.
+
+    Reading ``i`` is ``prefix`` followed by ``digits`` read in the groups of
+    ``compositions(len(digits))[i]``.  With ``lead``, the reading in the
+    ``lead`` group sizes comes first and every composition that reads the
+    same is left out.  ``count`` and ``render`` build no other reading, so a
+    policy's pick costs one ``grouped_digit_words`` call however many
+    groupings there are.
+    """
+
+    # a plain class: a dataclass costs a millisecond of every import
+    def __init__(self, digits: str, prefix: str = "", lead: tuple[int, ...] = ()):
+        self.digits = digits
+        self.prefix = prefix
+        self.lead = lead
+
+    def _say(self, sizes) -> str:
+        words = grouped_digit_words(self.digits, list(sizes))
+        return f"{self.prefix} {words}" if self.prefix else words
+
+    @cached_property
+    def _same_as_lead(self) -> list[int]:
+        """Ranks, ascending, of the compositions that read like ``lead``."""
+        if not self.lead:
+            return []
+        digits, n = self.digits, len(self.digits)
+        target, pos = 0, 0
+        for size in self.lead:
+            target |= _word_ends(digits[pos:pos + size]) << pos
+            pos += size
+        ranks = []
+        stack = [(0, 0)]  # (position, rank of the first composition from here)
+        while stack:
+            pos, rank = stack.pop()
+            if pos == n:
+                ranks.append(rank)
+                continue
+            for size, skip in ((3, 0), (2, composition_count(n - pos - 3))):
+                group = digits[pos:pos + size]
+                if (len(group) == size
+                        and (target >> pos) & ((1 << size) - 1) == _word_ends(group)):
+                    stack.append((pos + size, rank + skip))
+        return sorted(ranks)
+
+    def count(self) -> int:
+        n = composition_count(len(self.digits))
+        return n + 1 - len(self._same_as_lead) if self.lead else n
+
+    def render(self, index: int) -> str:
+        """Reading ``index``, indexed like a list of ``count()`` readings."""
+        if index < 0:
+            index += self.count()
+        if self.lead:
+            if index == 0:
+                return self._say(self.lead)
+            index -= 1
+            for rank in self._same_as_lead:
+                if index >= rank:
+                    index += 1
+        return self._say(composition_at(len(self.digits), index))
+
+    def readings(self) -> list[str]:
+        """Every reading, built from ``compositions`` one by one."""
+        out = [self._say(sizes) for sizes in compositions(len(self.digits))]
+        if self.lead:
+            first = self._say(self.lead)
+            out = [first] + [v for v in out if v != first]
+        return out
 
 
-def phone_variants(digits: str, kind: PhoneKind) -> list[str]:
+def _word_ends(group: str) -> int:
+    """Bit k-1 set where a word of the group's reading ends after digit k.
+
+    Each leading zero is one word ("صفر"), the rest one cardinal; two
+    groupings of a digit string read the same exactly when their words end
+    at the same digits.
+    """
+    zeros = len(group) - len(group.lstrip("0"))
+    return ((1 << zeros) - 1) | (1 << (len(group) - 1))
+
+
+def phone_readings(digits: str, kind: PhoneKind) -> GroupedReadings:
     digits = ascii_digits(digits)
     if kind is PhoneKind.MOBILE:
         # the 4-digit prefix is always read the same way: صفر + 3-digit cardinal
         prefix = f"صفر {cardinal_words(int(digits[1:4]))}"
-        return [f"{prefix} {rest}" for rest in _grouped_variants(digits[4:])]
+        return GroupedReadings(digits[4:], prefix)
     if len(digits) == 11:
         # landline with area code 0XX
-        prefix = grouped_digit_words(digits[:3], [3])
-        return [f"{prefix} {rest}" for rest in _grouped_variants(digits[3:])]
-    return _grouped_variants(digits)
+        return GroupedReadings(digits[3:], grouped_digit_words(digits[:3], [3]))
+    return GroupedReadings(digits)
+
+
+def grouped_id_readings(digits: str, cls: SemioticClass) -> GroupedReadings:
+    digits = ascii_digits(digits)
+    if cls is SemioticClass.SHEBA:
+        body = digits[2:] if digits.startswith("IR") else digits
+        return GroupedReadings(body, "آی آر")
+    if cls is SemioticClass.CARD_NUMBER:
+        # cards default to the fixed 2x8 grouping; other splits follow
+        return GroupedReadings(digits, lead=(2,) * 8)
+    return GroupedReadings(digits)
+
+
+def phone_variants(digits: str, kind: PhoneKind) -> list[str]:
+    return phone_readings(digits, kind).readings()
+
+
+def grouped_id_variants(digits: str, cls: SemioticClass) -> list[str]:
+    return grouped_id_readings(digits, cls).readings()
+
+
+def _pick(family: GroupedReadings, policy: SelectionPolicy | None,
+          rng: random.Random | None) -> str:
+    policy = policy or SelectionPolicy.fixed(0)
+    return family.render(policy.pick(family.count(), rng))
 
 
 def verbalize_phone(digits: str, kind: PhoneKind,
                     policy: SelectionPolicy | None = None,
                     rng: random.Random | None = None) -> str:
-    policy = policy or SelectionPolicy.fixed(0)
-    return policy.choose(phone_variants(digits, kind), rng)
-
-
-# --- special numbers -------------------------------------------------------
-
-def grouped_id_variants(digits: str, cls: SemioticClass) -> list[str]:
-    digits = ascii_digits(digits)
-    if cls is SemioticClass.SHEBA:
-        prefix = f"آی آر"
-        body = digits[2:] if digits.startswith("IR") else digits
-        return [f"{prefix} {rest}" for rest in _grouped_variants(body)]
-    if cls is SemioticClass.CARD_NUMBER:
-        # cards default to the fixed 2x8 grouping; other splits follow
-        fixed = grouped_digit_words(digits, [2] * 8)
-        rest = [v for v in _grouped_variants(digits) if v != fixed]
-        return [fixed] + rest
-    return _grouped_variants(digits)
+    return _pick(phone_readings(digits, kind), policy, rng)
 
 
 def verbalize_grouped_id(digits: str, cls: SemioticClass,
                          policy: SelectionPolicy | None = None,
                          rng: random.Random | None = None) -> str:
-    policy = policy or SelectionPolicy.fixed(0)
-    return policy.choose(grouped_id_variants(digits, cls), rng)
+    return _pick(grouped_id_readings(digits, cls), policy, rng)
 
 
 # --- symbols, currencies, abbreviations ------------------------------------

@@ -1,0 +1,63 @@
+"""Time grows linearly on the input shapes that used to be super-linear.
+
+Each test times an input and the same shape at twice the size, best of
+three, and bounds log2 of the time ratio: about 1 when time is linear, 2
+when it is quadratic.  The sizes are large enough that a quadratic cost
+dominates the per-call overhead.
+"""
+
+import math
+import random
+import time
+
+from persian_norm import normalize_speech, split_sentences
+
+GROWTH_BOUND = 1.4
+
+
+def _growth(fn, small, big, calls=1):
+    def best(arg):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn(arg)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    return math.log2(best(big) / best(small))
+
+
+def _number_line(n):
+    rng = random.Random(1)
+    return " ".join(str(rng.randrange(1, 1000)) for _ in range(n))
+
+
+def _digit_run(n):
+    return "شماره " + "".join(str(i * 7 % 9 + 1) for i in range(n))
+
+
+def _decimal_paragraph(n):
+    rng = random.Random(1)
+    return " ".join(
+        f"عدد {rng.randrange(100)}.{rng.randrange(1, 100)}" for _ in range(n)
+    ) + " پایان."
+
+
+def test_many_numbers_on_one_line_speech():
+    # overlap resolution against every accepted span was quadratic
+    growth = _growth(normalize_speech, _number_line(2000), _number_line(4000))
+    assert growth < GROWTH_BOUND
+
+
+def test_long_digit_run_speech():
+    # building every digit-group reading grew as 1.32**n
+    growth = _growth(normalize_speech, _digit_run(16), _digit_run(32), calls=20)
+    assert growth < GROWTH_BOUND
+
+
+def test_decimal_paragraph_split():
+    # looking up each terminal mark in every protected interval was quadratic
+    growth = _growth(split_sentences, _decimal_paragraph(2000),
+                     _decimal_paragraph(4000))
+    assert growth < GROWTH_BOUND

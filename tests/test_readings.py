@@ -1,0 +1,176 @@
+"""Counted digit-group readings agree with the eagerly built lists."""
+
+import random
+import time
+
+import pytest
+
+from persian_norm import (
+    PhoneKind,
+    PipelineConfig,
+    SelectionPolicy,
+    SemioticClass,
+    enumerate_verbalizations,
+    normalize_general,
+    normalize_speech,
+    scan,
+    validate_card,
+    validate_national_id,
+    validate_sheba,
+)
+from persian_norm.pipeline import _assemble, span_variants
+from persian_norm.verbalize import (
+    GroupedReadings,
+    composition_at,
+    composition_count,
+    compositions,
+    grouped_id_readings,
+    grouped_id_variants,
+    phone_readings,
+    phone_variants,
+)
+
+
+def _digits(rng, n):
+    return "".join(rng.choice("0123456789") for _ in range(n))
+
+
+def _card(rng):
+    while True:
+        digits = _digits(rng, 15)
+        for check in "0123456789":
+            if validate_card(digits + check):
+                return digits + check
+
+
+def _national_id(rng):
+    while True:
+        digits = _digits(rng, 9)
+        for check in "0123456789":
+            if validate_national_id(digits + check):
+                return digits + check
+
+
+def _sheba(rng):
+    body = _digits(rng, 22)
+    check = 98 - int(body + "182700") % 97
+    sheba = f"IR{check:02d}{body}"
+    assert validate_sheba(sheba)
+    return sheba
+
+
+def _mobile(rng):
+    return "09" + _digits(rng, 9)
+
+
+def _all(family):
+    return [family.render(i) for i in range(family.count())]
+
+
+def test_counts_match_compositions():
+    for n in range(0, 40):
+        assert composition_count(n) == len(compositions(n))
+    assert composition_count(-1) == 0
+    assert composition_count(16) == 37
+    assert composition_count(24) == 351
+
+
+def test_composition_at_unranks_in_order():
+    for n in range(0, 30):
+        assert [composition_at(n, i) for i in range(composition_count(n))] == \
+            list(compositions(n))
+    with pytest.raises(IndexError):
+        composition_at(16, 37)
+
+
+def test_count_needs_no_recursion():
+    # far past the recursion limit; c(n) grows as about 1.3247**n
+    assert composition_count(5000) > 10**600
+    assert sum(composition_at(5000, composition_count(5000) - 1)) == 5000
+
+
+def test_render_matches_eager_list_for_every_length():
+    rng = random.Random(5)
+    for n in range(2, 31):
+        family = GroupedReadings(_digits(rng, n))
+        eager = family.readings()
+        assert family.count() == len(eager)
+        for i, reading in enumerate(eager):
+            assert family.render(i) == reading
+
+
+def test_families_match_variant_lists():
+    rng = random.Random(11)
+    for _ in range(30):
+        mobile = _mobile(rng)
+        assert _all(phone_readings(mobile, PhoneKind.MOBILE)) == \
+            phone_variants(mobile, PhoneKind.MOBILE)
+        landline = "021" + _digits(rng, 8)
+        assert _all(phone_readings(landline, PhoneKind.LANDLINE)) == \
+            phone_variants(landline, PhoneKind.LANDLINE)
+        short = _digits(rng, 8)
+        assert _all(phone_readings(short, PhoneKind.LANDLINE)) == \
+            phone_variants(short, PhoneKind.LANDLINE)
+        for digits, cls in ((_national_id(rng), SemioticClass.NATIONAL_ID),
+                            (_card(rng), SemioticClass.CARD_NUMBER),
+                            (_sheba(rng), SemioticClass.SHEBA),
+                            (_digits(rng, rng.randrange(16, 26)),
+                             SemioticClass.LONG_NUMBER)):
+            assert _all(grouped_id_readings(digits, cls)) == \
+                grouped_id_variants(digits, cls)
+
+
+def test_cards_with_zero_runs_match_variant_list():
+    # zero runs let a 3-digit group read like two 2-digit groups
+    rng = random.Random(3)
+    for _ in range(200):
+        digits = "".join(rng.choice("0001") for _ in range(16))
+        family = grouped_id_readings(digits, SemioticClass.CARD_NUMBER)
+        assert _all(family) == grouped_id_variants(digits, SemioticClass.CARD_NUMBER)
+
+
+def test_card_with_a_second_fixed_reading():
+    family = grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
+    assert family.count() == 36
+    assert _all(family) == grouped_id_variants(
+        "6050000010942098", SemioticClass.CARD_NUMBER)
+
+
+def test_negative_index_counts_from_the_end():
+    family = grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
+    assert family.render(-1) == family.readings()[-1]
+
+
+def test_seeded_speech_draws_like_choose():
+    rng = random.Random(8)
+    lines = []
+    for _ in range(12):
+        lines.append(f"کارت {_card(rng)} و شبا {_sheba(rng)} "
+                     f"و موبایل {_mobile(rng)} و ساعت 11:35")
+    for seed in range(5):
+        config = PipelineConfig(policy=SelectionPolicy.seeded(seed))
+        for line in lines:
+            text = normalize_general(line, config)
+            spans = scan(text, config)
+            draws = random.Random(seed)
+            expected = _assemble(text, spans, [
+                config.policy.choose(span_variants(span, config), draws)
+                for span in spans
+            ])
+            assert normalize_speech(line, config) == expected
+
+
+def test_enumeration_cap_checked_before_building():
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        enumerate_verbalizations("شماره " + "7" * 60)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_thousand_digit_run_is_spoken():
+    text = "شماره " + "".join(str(i % 9 + 1) for i in range(1000))
+    for policy in (SelectionPolicy.fixed(), SelectionPolicy.seeded(1)):
+        start = time.perf_counter()
+        out = normalize_speech(text, PipelineConfig(policy=policy))
+        assert time.perf_counter() - start < 1.0
+        assert not any(ch.isdigit() for ch in out)
