@@ -53,11 +53,7 @@ from .verbalize import (
     PolicyMode,
     SelectionPolicy,
     expand_abbreviation,
-    verbalize_date,
-    verbalize_grouped_id,
-    verbalize_phone,
     verbalize_symbol,
-    verbalize_time,
     verbalize_url_email,
 )
 
@@ -98,11 +94,7 @@ __all__ = [
     "validate_card",
     "validate_national_id",
     "validate_sheba",
-    "verbalize_date",
-    "verbalize_grouped_id",
-    "verbalize_phone",
     "verbalize_symbol",
-    "verbalize_time",
     "verbalize_url_email",
     "words_to_number",
 ]

@@ -235,12 +235,14 @@ def validate_sheba(candidate: str) -> bool:
 
 # --- detectors -------------------------------------------------------------
 
+_DATE_PAT = re.compile(
+    rf"(?<!{D})({D}{{1,4}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
+)
+
+
 def _date_candidates(text, config):
-    pat = re.compile(
-        rf"(?<!{D})({D}{{1,4}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
-    )
     out = []
-    for m in pat.finditer(text):
+    for m in _DATE_PAT.finditer(text):
         a, _, b, c = m.groups()
         a_i, b_i, c_i = int(ascii_digits(a)), int(ascii_digits(b)), int(ascii_digits(c))
         if len(a) >= 3 or a_i > 31:
@@ -263,10 +265,12 @@ def _date_candidates(text, config):
     return out
 
 
+_TIME_PAT = re.compile(rf"(?<!{D})({D}{{1,2}}):({D}{{2}})(?::({D}{{2}}))?(?!{D})")
+
+
 def _time_candidates(text, config):
-    pat = re.compile(rf"(?<!{D})({D}{{1,2}}):({D}{{2}})(?::({D}{{2}}))?(?!{D})")
     out = []
-    for m in pat.finditer(text):
+    for m in _TIME_PAT.finditer(text):
         h = int(ascii_digits(m.group(1)))
         mi = int(ascii_digits(m.group(2)))
         s = int(ascii_digits(m.group(3))) if m.group(3) else None
@@ -279,18 +283,20 @@ def _time_candidates(text, config):
     return out
 
 
+_TLD = r"(?:com|org|net|ir|io|edu|gov|info|biz|co|uk|de|fr|me|tv|html)"
+_URL_PAT = re.compile(
+    r"(?:https?|ftp)://\S+"
+    r"|www\.\S+"
+    rf"|(?<![\w@.\-])(?:[A-Za-z0-9\-]+\.)+{_TLD}(?:/\S*)?"
+    # ends neither inside a word, nor before "@" (an email's local part),
+    # nor before a dot that goes on ("a.com.au", "a.info@b.com")
+    r"(?![\w@]|\.[\w@])",
+)
+
+
 def _url_candidates(text, config):
-    tld = r"(?:com|org|net|ir|io|edu|gov|info|biz|co|uk|de|fr|me|tv|html)"
-    pat = re.compile(
-        r"(?:https?|ftp)://\S+"
-        r"|www\.\S+"
-        rf"|(?<![\w@.\-])(?:[A-Za-z0-9\-]+\.)+{tld}(?:/\S*)?"
-        # ends neither inside a word, nor before "@" (an email's local part),
-        # nor before a dot that goes on ("a.com.au", "a.info@b.com")
-        r"(?![\w@]|\.[\w@])",
-    )
     out = []
-    for m in pat.finditer(text):
+    for m in _URL_PAT.finditer(text):
         end = m.end()
         while end > m.start() and text[end - 1] in ".,;:!؟?)»،":
             end -= 1
@@ -298,27 +304,38 @@ def _url_candidates(text, config):
     return out
 
 
+# a local part starts only where the previous character cannot extend it,
+# so each start in a run without "@" is tried once and the scan is linear
+_EMAIL_PAT = re.compile(
+    r"(?<![A-Za-z0-9._\-])[A-Za-z0-9._\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}"
+)
+
+
 def _email_candidates(text, config):
-    pat = re.compile(r"[A-Za-z0-9._\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}")
     return [
         (SemioticClass.EMAIL, m.start(), m.end(), {})
-        for m in pat.finditer(text)
+        for m in _EMAIL_PAT.finditer(text)
     ]
 
 
+_SHEBA_PAT = re.compile(rf"IR{D}{{24}}(?!{D})")
+
+
 def _sheba_candidates(text, config):
-    pat = re.compile(rf"IR{D}{{24}}(?!{D})")
     out = []
-    for m in pat.finditer(text):
+    for m in _SHEBA_PAT.finditer(text):
         if validate_sheba(m.group(0)):
             out.append((SemioticClass.SHEBA, m.start(), m.end(), {}))
     return out
 
 
+_DIGIT_RUN_PAT = re.compile(rf"{D}+")
+
+
 def _digit_run_candidates(text, config):
     """Phone / card / national ID / long / plain classification of digit runs."""
     out = []
-    for m in re.finditer(rf"{D}+", text):
+    for m in _DIGIT_RUN_PAT.finditer(text):
         run = ascii_digits(m.group(0))
         left = text[max(0, m.start() - 20):m.start()]
         right = text[m.end():m.end() + 20]
@@ -341,21 +358,25 @@ def _digit_run_candidates(text, config):
     return out
 
 
+_DECIMAL_PAT = re.compile(rf"(?<!{D})({D}{{1,15}})\.({D}+)(?!{D})")
+
+
 def _decimal_candidates(text, config):
-    pat = re.compile(rf"(?<!{D})({D}{{1,15}})\.({D}+)(?!{D})")
     return [
         (SemioticClass.DECIMAL, m.start(), m.end(),
          {"integer": ascii_digits(m.group(1)),
           "fraction": ascii_digits(m.group(2))})
-        for m in pat.finditer(text)
+        for m in _DECIMAL_PAT.finditer(text)
     ]
 
 
+# simple x/y fractions (x < y) read as spoken fractions, e.g. ۱/۲
+_FRACTION_PAT = re.compile(rf"(?<!{D})({D}{{1,2}})/({D}{{1,2}})(?!{D})")
+
+
 def _fraction_candidates(text, config):
-    # simple x/y fractions (x < y) read as spoken fractions, e.g. ۱/۲
-    pat = re.compile(rf"(?<!{D})({D}{{1,2}})/({D}{{1,2}})(?!{D})")
     out = []
-    for m in pat.finditer(text):
+    for m in _FRACTION_PAT.finditer(text):
         num = int(ascii_digits(m.group(1)))
         den = int(ascii_digits(m.group(2)))
         if 0 < num < den <= 20:
@@ -368,7 +389,9 @@ def _fraction_candidates(text, config):
 
 @lru_cache(maxsize=None)
 def _currency_pattern() -> re.Pattern:
-    syms = "|".join(re.escape(s) for s, _ in table("currencies").entries)
+    # every currency symbol is one character, so the table's longest-first
+    # order is its file order
+    syms = table("currencies")._pattern.pattern
     amount = rf"{D}+(?:\.{D}+)?"
     return re.compile(
         rf"(?P<pre>{syms})\s?(?P<preamt>{amount})"
@@ -400,38 +423,21 @@ def _currency_candidates(text, config):
     return out
 
 
-@lru_cache(maxsize=None)
-def _symbol_pattern() -> re.Pattern:
-    syms = sorted((s for s, _ in table("symbols").entries), key=len, reverse=True)
-    return re.compile("|".join(re.escape(s) for s in syms))
-
-
-@lru_cache(maxsize=None)
-def _math_symbol_pattern() -> re.Pattern:
-    syms = sorted(
-        (s for s, _ in table("math_symbols").entries), key=len, reverse=True
-    )
-    return re.compile("|".join(re.escape(s) for s in syms))
-
-
 def _symbol_candidates(text, config):
     out = [
         (SemioticClass.SYMBOL, m.start(), m.end(), {})
-        for m in _symbol_pattern().finditer(text)
+        for m in table("symbols")._pattern.finditer(text)
     ]
     out += [
         (SemioticClass.MATH_SYMBOL, m.start(), m.end(), {})
-        for m in _math_symbol_pattern().finditer(text)
+        for m in table("math_symbols")._pattern.finditer(text)
     ]
     return out
 
 
 @lru_cache(maxsize=None)
 def _abbrev_fa_pattern() -> re.Pattern:
-    entries = sorted(
-        (s for s, _ in table("abbrev_fa").entries), key=len, reverse=True
-    )
-    alts = "|".join(re.escape(s) for s in entries)
+    alts = table("abbrev_fa")._pattern.pattern
     fa = r"؀-ۿ"
     return re.compile(rf"(?<![{fa}\w])(?:{alts})(?![{fa}\w])")
 

@@ -1,14 +1,15 @@
 """Spoken-form rewriting for classified spans.
 
-Each semiotic class has a family of legitimate spoken renderings; a
-``SelectionPolicy`` picks one (fixed index, seeded random, or the full
-enumeration for augmentation).
+Each semiotic class has a family of legitimate spoken renderings, a
+sequence that ``READINGS`` builds from a span; a ``SelectionPolicy`` picks
+one of them (fixed index or seeded random).
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -21,6 +22,7 @@ from .scanner import (
     MONTH_NAMES,
     PhoneKind,
     SemioticClass,
+    SemioticSpan,
     ascii_digits,
 )
 
@@ -28,7 +30,6 @@ from .scanner import (
 class PolicyMode(Enum):
     FIXED = "FIXED"
     SEEDED_RANDOM = "SEEDED_RANDOM"
-    ENUMERATE_ALL = "ENUMERATE_ALL"
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,17 @@ class SelectionPolicy:
             raise ValueError("no options to choose from")
         if self.mode is PolicyMode.FIXED:
             return self.index if self.index < count else 0
-        if self.mode is PolicyMode.SEEDED_RANDOM:
-            rng = rng if rng is not None else random.Random(self.seed)
-            return rng.randrange(count)
-        raise ValueError("ENUMERATE_ALL has no single choice")
+        rng = rng if rng is not None else random.Random(self.seed)
+        return rng.randrange(count)
 
-    def choose(self, options: list[str], rng: random.Random | None = None) -> str:
-        return options[self.pick(len(options), rng)]
+    def choose(self, options: Sequence[str], rng: random.Random | None = None) -> str:
+        return options[self.pick(option_count(options), rng)]
+
+
+def option_count(options: Sequence[str]) -> int:
+    """``len(options)``, also past ``sys.maxsize``, where ``len`` raises
+    ``OverflowError``: a run of 159 digits or more has more groupings."""
+    return options.__len__()
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +138,6 @@ def date_variants(d: CalendarDate) -> list[str]:
     return [tpl.format(**fields) for tpl in date_templates()]
 
 
-def verbalize_date(d: CalendarDate, policy: SelectionPolicy | None = None,
-                   rng: random.Random | None = None) -> str:
-    policy = policy or SelectionPolicy.fixed(0)
-    return policy.choose(date_variants(d), rng)
-
-
 # --- times -----------------------------------------------------------------
 
 def time_variants(hour: int, minute: int, second: int | None = None) -> list[str]:
@@ -167,22 +166,16 @@ def time_variants(hour: int, minute: int, second: int | None = None) -> list[str
     return out
 
 
-def verbalize_time(hour: int, minute: int, second: int | None = None,
-                   policy: SelectionPolicy | None = None,
-                   rng: random.Random | None = None) -> str:
-    policy = policy or SelectionPolicy.fixed(0)
-    return policy.choose(time_variants(hour, minute, second), rng)
-
-
 # --- digit groups: phone numbers, IDs, cards, Sheba ------------------------
 
 class GroupedReadings:
-    """The readings of a digit string spoken a group at a time.
+    """The readings of a digit string spoken a group at a time, as a
+    read-only sequence.
 
     Reading ``i`` is ``prefix`` followed by ``digits`` read in the groups of
     ``compositions(len(digits))[i]``.  With ``lead``, the reading in the
     ``lead`` group sizes comes first and every composition that reads the
-    same is left out.  ``count`` and ``render`` build no other reading, so a
+    same is left out.  Length and indexing build no other reading, so a
     policy's pick costs one ``grouped_digit_words`` call however many
     groupings there are.
     """
@@ -221,14 +214,15 @@ class GroupedReadings:
                     stack.append((pos + size, rank + skip))
         return sorted(ranks)
 
-    def count(self) -> int:
+    def __len__(self) -> int:
         n = composition_count(len(self.digits))
         return n + 1 - len(self._same_as_lead) if self.lead else n
 
-    def render(self, index: int) -> str:
-        """Reading ``index``, indexed like a list of ``count()`` readings."""
+    def __getitem__(self, index: int) -> str:
+        """Reading ``index``, indexed like the list ``readings()``; raises
+        ``IndexError`` past either end."""
         if index < 0:
-            index += self.count()
+            index += option_count(self)
         if self.lead:
             if index == 0:
                 return self._say(self.lead)
@@ -287,24 +281,6 @@ def phone_variants(digits: str, kind: PhoneKind) -> list[str]:
 
 def grouped_id_variants(digits: str, cls: SemioticClass) -> list[str]:
     return grouped_id_readings(digits, cls).readings()
-
-
-def _pick(family: GroupedReadings, policy: SelectionPolicy | None,
-          rng: random.Random | None) -> str:
-    policy = policy or SelectionPolicy.fixed(0)
-    return family.render(policy.pick(family.count(), rng))
-
-
-def verbalize_phone(digits: str, kind: PhoneKind,
-                    policy: SelectionPolicy | None = None,
-                    rng: random.Random | None = None) -> str:
-    return _pick(phone_readings(digits, kind), policy, rng)
-
-
-def verbalize_grouped_id(digits: str, cls: SemioticClass,
-                         policy: SelectionPolicy | None = None,
-                         rng: random.Random | None = None) -> str:
-    return _pick(grouped_id_readings(digits, cls), policy, rng)
 
 
 # --- symbols, currencies, abbreviations ------------------------------------
@@ -374,3 +350,63 @@ def verbalize_url_email(raw: str, style: str = "latin") -> str:
         else:
             parts.append(ch)
     return re.sub(r"\s+", " ", "".join(parts)).strip()
+
+
+# --- the readings of each class --------------------------------------------
+
+def _grouped_id(span: SemioticSpan, config) -> GroupedReadings:
+    return grouped_id_readings(span.raw, span.cls)
+
+
+def _url_email(span: SemioticSpan, config) -> list[str]:
+    return [verbalize_url_email(span.raw, style=config.url_word_style)]
+
+
+def _currency(span: SemioticSpan, config) -> list[str]:
+    name = verbalize_symbol(span.data["symbol"], SemioticClass.CURRENCY)
+    amount = span.data.get("amount")
+    if not amount:
+        return [name]
+    integer, dot, fraction = ascii_digits(amount).partition(".")
+    words = decimal_words(integer, fraction) if dot else cardinal_words(int(integer))
+    return [f"{words} {name}"]
+
+
+def _symbol(span: SemioticSpan, config) -> list[str]:
+    if "numerator" in span.data:
+        return [verbalize_fraction(span.data["numerator"], span.data["denominator"])]
+    return [verbalize_symbol(span.raw, span.cls)]
+
+
+def _abbreviation(span: SemioticSpan, config) -> list[str]:
+    return [expand_abbreviation(span.raw)]
+
+
+# class -> (span, config) -> every legitimate reading of the span, in the
+# order a FIXED policy's index counts; ``config`` supplies ``url_word_style``
+READINGS: dict[SemioticClass, Callable[[SemioticSpan, object], Sequence[str]]] = {
+    SemioticClass.DATE: lambda span, config: date_variants(span.data["date"]),
+    SemioticClass.TIME: lambda span, config: time_variants(
+        span.data["hour"], span.data["minute"], span.data["second"]),
+    SemioticClass.PHONE: lambda span, config: phone_readings(span.raw, span.data["kind"]),
+    SemioticClass.NATIONAL_ID: _grouped_id,
+    SemioticClass.CARD_NUMBER: _grouped_id,
+    SemioticClass.SHEBA: _grouped_id,
+    SemioticClass.LONG_NUMBER: _grouped_id,
+    SemioticClass.URL: _url_email,
+    SemioticClass.EMAIL: _url_email,
+    SemioticClass.CURRENCY: _currency,
+    SemioticClass.SYMBOL: _symbol,
+    SemioticClass.MATH_SYMBOL: _symbol,
+    SemioticClass.ABBREV_FA: _abbreviation,
+    SemioticClass.ABBREV_EN: _abbreviation,
+    SemioticClass.DECIMAL: lambda span, config: [
+        decimal_words(span.data["integer"], span.data["fraction"])],
+    SemioticClass.PLAIN_NUMBER: lambda span, config: [
+        cardinal_words(int(ascii_digits(span.raw)))],
+}
+
+
+def span_variants(span: SemioticSpan, config) -> Sequence[str]:
+    """All legitimate spoken renderings of one classified span."""
+    return READINGS[span.cls](span, config)

@@ -1,4 +1,4 @@
-"""An email whose local part ends in a TLD word is read as one email."""
+"""Where emails and URLs start and end."""
 
 from persian_norm import SemioticClass, normalize_speech, scan
 
@@ -21,3 +21,9 @@ def test_url_stops_before_sentence_final_dot():
 def test_url_does_not_stop_inside_a_longer_host():
     assert not [s for s in scan("google.com.au") if s.cls is SemioticClass.URL]
     assert [s.raw for s in scan("example.com.ir")] == ["example.com.ir"]
+
+
+def test_glued_emails_start_only_after_a_separator():
+    # "_x@c.com" is glued to the first email, so no second email starts there
+    assert normalize_speech("a@b.com_x@c.com") == \
+        "a at b dot com _x ات سی‌سی‌او‌ام"

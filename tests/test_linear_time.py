@@ -28,6 +28,12 @@ def _growth(fn, small, big, calls=1):
     return math.log2(best(big) / best(small))
 
 
+def _letter_run(n):
+    rng = random.Random(1)
+    letters = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(n))
+    return f"متن {letters} پایان"
+
+
 def _number_line(n):
     rng = random.Random(1)
     return " ".join(str(rng.randrange(1, 1000)) for _ in range(n))
@@ -42,6 +48,12 @@ def _decimal_paragraph(n):
     return " ".join(
         f"عدد {rng.randrange(100)}.{rng.randrange(1, 100)}" for _ in range(n)
     ) + " پایان."
+
+
+def test_latin_letter_run_speech():
+    # the email detector retried a local part from every letter of the run
+    growth = _growth(normalize_speech, _letter_run(4000), _letter_run(8000), calls=20)
+    assert growth < GROWTH_BOUND
 
 
 def test_many_numbers_on_one_line_speech():

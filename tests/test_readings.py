@@ -1,5 +1,6 @@
 """Counted digit-group readings agree with the eagerly built lists."""
 
+import itertools
 import random
 import time
 
@@ -20,6 +21,7 @@ from persian_norm import (
 )
 from persian_norm.pipeline import _assemble, span_variants
 from persian_norm.verbalize import (
+    READINGS,
     GroupedReadings,
     composition_at,
     composition_count,
@@ -28,6 +30,7 @@ from persian_norm.verbalize import (
     grouped_id_variants,
     phone_readings,
     phone_variants,
+    time_variants,
 )
 
 
@@ -64,7 +67,7 @@ def _mobile(rng):
 
 
 def _all(family):
-    return [family.render(i) for i in range(family.count())]
+    return [family[i] for i in range(len(family))]
 
 
 def test_counts_match_compositions():
@@ -94,9 +97,9 @@ def test_render_matches_eager_list_for_every_length():
     for n in range(2, 31):
         family = GroupedReadings(_digits(rng, n))
         eager = family.readings()
-        assert family.count() == len(eager)
+        assert len(family) == len(eager)
         for i, reading in enumerate(eager):
-            assert family.render(i) == reading
+            assert family[i] == reading
 
 
 def test_families_match_variant_lists():
@@ -131,14 +134,60 @@ def test_cards_with_zero_runs_match_variant_list():
 
 def test_card_with_a_second_fixed_reading():
     family = grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
-    assert family.count() == 36
+    assert len(family) == 36
     assert _all(family) == grouped_id_variants(
         "6050000010942098", SemioticClass.CARD_NUMBER)
 
 
 def test_negative_index_counts_from_the_end():
     family = grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
-    assert family.render(-1) == family.readings()[-1]
+    assert family[-1] == family.readings()[-1]
+
+
+def test_every_class_has_readings():
+    assert set(READINGS) == set(SemioticClass)
+
+
+def test_families_are_sequences_of_their_readings():
+    rng = random.Random(13)
+    families = [grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)]
+    for _ in range(20):
+        families += [
+            phone_readings(_mobile(rng), PhoneKind.MOBILE),
+            phone_readings("021" + _digits(rng, 8), PhoneKind.LANDLINE),
+            phone_readings(_digits(rng, 8), PhoneKind.LANDLINE),
+            grouped_id_readings(_national_id(rng), SemioticClass.NATIONAL_ID),
+            grouped_id_readings(_sheba(rng), SemioticClass.SHEBA),
+            grouped_id_readings(_digits(rng, rng.randrange(16, 26)),
+                                SemioticClass.LONG_NUMBER),
+        ]
+    for _ in range(200):
+        zero_heavy = "".join(rng.choice("0001") for _ in range(16))
+        families.append(grouped_id_readings(zero_heavy, SemioticClass.CARD_NUMBER))
+    for family in families:
+        assert list(family) == family.readings()
+        with pytest.raises(IndexError):
+            family[len(family)]
+        with pytest.raises(IndexError):
+            family[-len(family) - 1]
+
+
+def test_enumeration_is_the_product_of_every_reading():
+    line = "کارت 6104337852441441 با موبایل 09397796915 ساعت 11:35"
+    config = PipelineConfig()
+    text = normalize_general(line, config)
+    spans = scan(text, config)
+    assert [s.cls for s in spans] == [SemioticClass.CARD_NUMBER,
+                                      SemioticClass.PHONE, SemioticClass.TIME]
+    lists = [
+        grouped_id_readings("6104337852441441", SemioticClass.CARD_NUMBER).readings(),
+        phone_readings("09397796915", PhoneKind.MOBILE).readings(),
+        time_variants(11, 35),
+    ]
+    expected = list(dict.fromkeys(
+        _assemble(text, spans, list(combo)) for combo in itertools.product(*lists)
+    ))
+    assert enumerate_verbalizations(line, config) == expected
 
 
 def test_seeded_speech_draws_like_choose():
@@ -165,6 +214,12 @@ def test_enumeration_cap_checked_before_building():
     with pytest.raises(ValueError):
         enumerate_verbalizations("شماره " + "7" * 60)
     assert time.perf_counter() - start < 1.0
+
+
+def test_enumeration_cap_names_the_cap_for_any_count():
+    # 10**4400 outputs: past the 4300 decimal digits Python prints of an int
+    with pytest.raises(ValueError, match="more than 10000 outputs"):
+        enumerate_verbalizations(" و ".join(["1400-07-25"] * 4400))
 
 
 def test_thousand_digit_run_is_spoken():

@@ -9,18 +9,16 @@ from persian_norm import (
     SemioticClass,
     SelectionPolicy,
     expand_abbreviation,
-    verbalize_date,
-    verbalize_grouped_id,
-    verbalize_phone,
     verbalize_symbol,
-    verbalize_time,
     verbalize_url_email,
 )
 from persian_norm.numwords import grouped_digit_words
 from persian_norm.verbalize import (
     compositions,
     date_variants,
+    grouped_id_readings,
     grouped_id_variants,
+    phone_readings,
     phone_variants,
     time_variants,
     verbalize_fraction,
@@ -40,7 +38,7 @@ def test_compositions_cover_sum():
 
 def test_date_default_reading():
     d = CalendarDate(Calendar.SOLAR_HIJRI, 1397, 7, 9)
-    assert verbalize_date(d) == "نهم مهر سال هزار و سیصد و نود و هفت"
+    assert SelectionPolicy.fixed().choose(date_variants(d)) == "نهم مهر سال هزار و سیصد و نود و هفت"
 
 
 def test_date_has_ten_templates():
@@ -62,17 +60,17 @@ def test_date_table_rows_present():
 
 def test_date_first_day_reads_aval():
     d = CalendarDate(Calendar.SOLAR_HIJRI, 1400, 1, 1)
-    assert verbalize_date(d).startswith("اول فروردین")
+    assert SelectionPolicy.fixed().choose(date_variants(d)).startswith("اول فروردین")
 
 
 def test_date_gregorian_month_names():
     d = CalendarDate(Calendar.GREGORIAN, 2018, 1, 10)
-    assert "ژانویه" in verbalize_date(d)
+    assert "ژانویه" in SelectionPolicy.fixed().choose(date_variants(d))
 
 
 def test_date_lunar_month_names():
     d = CalendarDate(Calendar.LUNAR_HIJRI, 1443, 1, 9)
-    assert "محرم" in verbalize_date(d)
+    assert "محرم" in SelectionPolicy.fixed().choose(date_variants(d))
 
 
 def test_time_table_rows():
@@ -82,19 +80,19 @@ def test_time_table_rows():
 
 
 def test_time_zero_minute_elided():
-    assert verbalize_time(8, 0) == "هشت"
+    assert SelectionPolicy.fixed().choose(time_variants(8, 0)) == "هشت"
     assert "هشت صفر" not in " ".join(time_variants(8, 0))
 
 
 def test_time_with_seconds():
-    assert verbalize_time(10, 30, 25) == "ده و سی دقیقه و بیست و پنج ثانیه"
+    assert SelectionPolicy.fixed().choose(time_variants(10, 30, 25)) == "ده و سی دقیقه و بیست و پنج ثانیه"
 
 
 def test_time_rejects_out_of_range():
     with pytest.raises(ValueError):
-        verbalize_time(24, 0)
+        time_variants(24, 0)
     with pytest.raises(ValueError):
-        verbalize_time(8, 60)
+        time_variants(8, 60)
 
 
 def test_phone_mobile_partitions():
@@ -114,8 +112,8 @@ def test_phone_prefix_always_identical():
 
 def test_phone_seeded_determinism():
     policy = SelectionPolicy.seeded(42)
-    a = verbalize_phone("09397796915", PhoneKind.MOBILE, policy)
-    b = verbalize_phone("09397796915", PhoneKind.MOBILE, policy)
+    a = policy.choose(phone_readings("09397796915", PhoneKind.MOBILE))
+    b = policy.choose(phone_readings("09397796915", PhoneKind.MOBILE))
     assert a == b
 
 
@@ -130,18 +128,21 @@ def test_national_id_row_two():
 
 
 def test_card_default_pairs():
-    assert verbalize_grouped_id("6104337852441441", SemioticClass.CARD_NUMBER) == (
+    family = grouped_id_readings("6104337852441441", SemioticClass.CARD_NUMBER)
+    assert SelectionPolicy.fixed().choose(family) == (
         "شصت و یک صفر چهار سی و سه هفتاد و هشت "
         "پنجاه و دو چهل و چهار چهارده چهل و یک"
     )
 
 
 def test_single_group():
-    assert verbalize_grouped_id("22", SemioticClass.LONG_NUMBER) == "بیست و دو"
+    assert SelectionPolicy.fixed().choose(
+        grouped_id_readings("22", SemioticClass.LONG_NUMBER)) == "بیست و دو"
 
 
 def test_sheba_prefix_spelled():
-    out = verbalize_grouped_id("IR062960000000100324200001", SemioticClass.SHEBA)
+    out = SelectionPolicy.fixed().choose(
+        grouped_id_readings("IR062960000000100324200001", SemioticClass.SHEBA))
     assert out.startswith("آی آر ")
 
 
@@ -221,13 +222,13 @@ def test_policy_fixed_index():
     d = CalendarDate(Calendar.SOLAR_HIJRI, 1400, 7, 25)
     v = date_variants(d)
     for i in range(len(v)):
-        assert verbalize_date(d, SelectionPolicy.fixed(i)) == v[i]
+        assert SelectionPolicy.fixed(i).choose(date_variants(d)) == v[i]
 
 
 def test_policy_seeded_equal_seeds_equal_outputs():
     d = CalendarDate(Calendar.SOLAR_HIJRI, 1400, 7, 25)
-    assert verbalize_date(d, SelectionPolicy.seeded(7)) == \
-        verbalize_date(d, SelectionPolicy.seeded(7))
+    assert SelectionPolicy.seeded(7).choose(date_variants(d)) == \
+        SelectionPolicy.seeded(7).choose(date_variants(d))
 
 
 def test_outputs_contain_no_digits():
