@@ -22,7 +22,6 @@ from .numwords import (
     words_to_number,
 )
 from .pipeline import (
-    Mode,
     PipelineConfig,
     enumerate_verbalizations,
     normalize_general,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Calendar",
     "CalendarDate",
-    "Mode",
     "PhoneKind",
     "PipelineConfig",
     "PolicyMode",

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .pipeline import (
-    Mode,
     PASS_NAMES,
     PipelineConfig,
     enumerate_verbalizations,
@@ -38,8 +38,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     norm = sub.add_parser("normalize", help="run a normalization pipeline")
-    norm.add_argument("--mode", choices=[Mode.GENERAL, Mode.SPEECH],
-                      default=None)
+    norm.add_argument("--mode", choices=["general", "speech"], default=None)
     norm.add_argument("--seed", type=int, default=None,
                       help="seeded-random template selection")
     norm.add_argument("--template-index", type=int, default=None,
@@ -68,11 +67,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: str) -> list[str]:
-    if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+def _open_input(path: str):
+    return nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
+
+
+def _open_output(path: str | None):
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+
+
+def _lines(fh):
+    """The lines of ``fh`` one at a time, split as ``str.splitlines`` splits
+    the whole text."""
+    for physical in fh:
+        yield from physical.splitlines()
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -87,9 +94,10 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _build_config(args) -> PipelineConfig:
+def _build_config(args) -> tuple[PipelineConfig, str]:
+    """The pipeline config and the mode ("general" or "speech")."""
     file_values = _load_config_file(args.config) if args.config else {}
-    mode = args.mode or file_values.get("mode", Mode.SPEECH)
+    mode = args.mode or file_values.get("mode", "speech")
     seed = args.seed
     if seed is None and "seed" in file_values:
         seed = int(file_values["seed"])
@@ -103,29 +111,23 @@ def _build_config(args) -> PipelineConfig:
     disabled = set(args.disable)
     if "disable" in file_values:
         disabled |= set(file_values["disable"].split(","))
-    config = PipelineConfig(mode=mode, policy=policy)
+    config = PipelineConfig(policy=policy)
     for name in disabled:
         config = config.disable(name)
-    return config
+    return config, mode
 
 
 def _cmd_normalize(args) -> int:
-    config = _build_config(args)
-    lines = _read_input(args.input)
-    out_lines = []
-    for line in lines:
-        if args.enumerate_all:
-            out_lines.extend(enumerate_verbalizations(line, config))
-        elif config.mode == Mode.GENERAL:
-            out_lines.append(normalize_general(line, config))
-        else:
-            out_lines.append(normalize_speech(line, config))
-    payload = "\n".join(out_lines) + ("\n" if out_lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    config, mode = _build_config(args)
+    normalize = normalize_general if mode == "general" else normalize_speech
+    # the input opens first, so an unreadable one creates no output file
+    with _open_input(args.input) as src, _open_output(args.out) as out:
+        for line in _lines(src):
+            if args.enumerate_all:
+                for verbalization in enumerate_verbalizations(line, config):
+                    out.write(verbalization + "\n")
+            else:
+                out.write(normalize(line, config) + "\n")
     return 0
 
 
@@ -133,9 +135,10 @@ def _cmd_split(args) -> int:
     kwargs = {}
     if args.threshold is not None:
         kwargs["verb_split_threshold"] = args.threshold
-    for line in _read_input(args.input):
-        for sentence in split_sentences(line, **kwargs):
-            print(sentence)
+    with _open_input(args.input) as src:
+        for line in _lines(src):
+            for sentence in split_sentences(line, **kwargs):
+                print(sentence)
     return 0
 
 
@@ -178,9 +181,10 @@ def _cmd_eval_split(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    for line in _read_input(args.input):
-        for span in scan(line):
-            print(f"{span.start}\t{span.end}\t{span.cls.value}\t{span.raw}")
+    with _open_input(args.input) as src:
+        for line in _lines(src):
+            for span in scan(line):
+                print(f"{span.start}\t{span.end}\t{span.cls.value}\t{span.raw}")
     return 0
 
 

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from . import charset
-from .scanner import Calendar, SemioticSpan, scan
+from .scanner import SemioticSpan, scan
 from .verbalize import PolicyMode, SelectionPolicy, option_count, span_variants
 
 GENERAL_PASSES = (
@@ -27,18 +27,10 @@ _MULTI_SPACE = re.compile(r" +")
 _SPACE_BEFORE_PUNCT = re.compile(r" (?=[.,،؛;:!؟?»)\]])")
 
 
-class Mode:
-    GENERAL = "general"
-    SPEECH = "speech"
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
-    mode: str = Mode.SPEECH
     enabled_passes: frozenset = frozenset(PASS_NAMES)
     policy: SelectionPolicy = field(default_factory=SelectionPolicy.fixed)
-    calendar_default: Calendar = Calendar.SOLAR_HIJRI
-    url_word_style: str = "latin"
 
     def __post_init__(self):
         unknown = set(self.enabled_passes) - set(PASS_NAMES)
@@ -51,9 +43,12 @@ class PipelineConfig:
         return replace(self, enabled_passes=self.enabled_passes - {name})
 
 
+_DEFAULT_CONFIG = PipelineConfig()
+
+
 def normalize_general(text: str, config: PipelineConfig | None = None) -> str:
     """Run the character-level canonicalization passes in fixed order."""
-    config = config or PipelineConfig(mode=Mode.GENERAL)
+    config = config or _DEFAULT_CONFIG
     for name, fn in GENERAL_PASSES:
         if name in config.enabled_passes:
             text = fn(text)
@@ -75,28 +70,28 @@ def _assemble(text: str, spans: list[SemioticSpan], replacements: list[str]) -> 
 
 def normalize_speech(text: str, config: PipelineConfig | None = None) -> str:
     """General normalization, then every non-standard word spoken out."""
-    config = config or PipelineConfig()
+    config = config or _DEFAULT_CONFIG
     text = normalize_general(text, config)
-    spans = scan(text, config)
+    spans = scan(text)
     if not spans:
         return text
     policy = config.policy
     rng = (random.Random(policy.seed)
            if policy.mode is PolicyMode.SEEDED_RANDOM else None)
-    replacements = [policy.choose(span_variants(span, config), rng)
+    replacements = [policy.choose(span_variants(span), rng)
                     for span in spans]
     return _assemble(text, spans, replacements)
 
 
 def enumerate_verbalizations(text: str, config: PipelineConfig | None = None) -> list[str]:
     """Cross-product of template choices across all spans, deduplicated."""
-    config = config or PipelineConfig()
+    config = config or _DEFAULT_CONFIG
     normalized = normalize_general(text, config)
-    spans = scan(normalized, config)
+    spans = scan(normalized)
     if not spans:
-        return [normalize_speech(text, config)]
+        return [normalized]
     # a digit-group family is counted before any of its readings is built
-    variant_lists = [span_variants(span, config) for span in spans]
+    variant_lists = [span_variants(span) for span in spans]
     count = math.prod(option_count(v) for v in variant_lists)
     if count > ENUMERATION_CAP:
         # the count itself is not shown: it can be too long to print

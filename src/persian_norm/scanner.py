@@ -18,8 +18,8 @@ from .resources import table
 PERSIAN_DIGITS = "۰۱۲۳۴۵۶۷۸۹"
 _TO_ASCII = str.maketrans(PERSIAN_DIGITS + "٠١٢٣٤٥٦٧٨٩", "0123456789" * 2)
 
-# any digit as it may appear in scanned text (ASCII or Persian)
-D = "[0-9۰-۹]"
+# any digit as it may appear in scanned text (ASCII, Persian or Arabic-Indic)
+D = "[0-9۰-۹٠-٩]"
 
 
 def ascii_digits(s: str) -> str:
@@ -240,7 +240,7 @@ _DATE_PAT = re.compile(
 )
 
 
-def _date_candidates(text, config):
+def _date_candidates(text):
     out = []
     for m in _DATE_PAT.finditer(text):
         a, _, b, c = m.groups()
@@ -255,8 +255,7 @@ def _date_candidates(text, config):
             continue
         window = text[max(0, m.start() - 20):min(len(text), m.end() + 20)]
         lunar = any(name in window for name in LUNAR_MONTHS)
-        default = getattr(config, "calendar_default", Calendar.SOLAR_HIJRI)
-        cal = infer_calendar(y, default=default, lunar_context=lunar)
+        cal = infer_calendar(y, lunar_context=lunar)
         try:
             date = CalendarDate(cal, y, mo, d)
         except ValueError:
@@ -268,7 +267,7 @@ def _date_candidates(text, config):
 _TIME_PAT = re.compile(rf"(?<!{D})({D}{{1,2}}):({D}{{2}})(?::({D}{{2}}))?(?!{D})")
 
 
-def _time_candidates(text, config):
+def _time_candidates(text):
     out = []
     for m in _TIME_PAT.finditer(text):
         h = int(ascii_digits(m.group(1)))
@@ -294,7 +293,7 @@ _URL_PAT = re.compile(
 )
 
 
-def _url_candidates(text, config):
+def _url_candidates(text):
     out = []
     for m in _URL_PAT.finditer(text):
         end = m.end()
@@ -311,7 +310,7 @@ _EMAIL_PAT = re.compile(
 )
 
 
-def _email_candidates(text, config):
+def _email_candidates(text):
     return [
         (SemioticClass.EMAIL, m.start(), m.end(), {})
         for m in _EMAIL_PAT.finditer(text)
@@ -321,7 +320,7 @@ def _email_candidates(text, config):
 _SHEBA_PAT = re.compile(rf"IR{D}{{24}}(?!{D})")
 
 
-def _sheba_candidates(text, config):
+def _sheba_candidates(text):
     out = []
     for m in _SHEBA_PAT.finditer(text):
         if validate_sheba(m.group(0)):
@@ -332,7 +331,7 @@ def _sheba_candidates(text, config):
 _DIGIT_RUN_PAT = re.compile(rf"{D}+")
 
 
-def _digit_run_candidates(text, config):
+def _digit_run_candidates(text):
     """Phone / card / national ID / long / plain classification of digit runs."""
     out = []
     for m in _DIGIT_RUN_PAT.finditer(text):
@@ -361,7 +360,7 @@ def _digit_run_candidates(text, config):
 _DECIMAL_PAT = re.compile(rf"(?<!{D})({D}{{1,15}})\.({D}+)(?!{D})")
 
 
-def _decimal_candidates(text, config):
+def _decimal_candidates(text):
     return [
         (SemioticClass.DECIMAL, m.start(), m.end(),
          {"integer": ascii_digits(m.group(1)),
@@ -374,7 +373,7 @@ def _decimal_candidates(text, config):
 _FRACTION_PAT = re.compile(rf"(?<!{D})({D}{{1,2}})/({D}{{1,2}})(?!{D})")
 
 
-def _fraction_candidates(text, config):
+def _fraction_candidates(text):
     out = []
     for m in _FRACTION_PAT.finditer(text):
         num = int(ascii_digits(m.group(1)))
@@ -395,12 +394,14 @@ def _currency_pattern() -> re.Pattern:
     amount = rf"{D}+(?:\.{D}+)?"
     return re.compile(
         rf"(?P<pre>{syms})\s?(?P<preamt>{amount})"
-        rf"|(?P<postamt>{amount})\s?(?P<post>{syms})"
+        # an amount starts only where a digit run does: no retry from each
+        # digit of a long run
+        rf"|(?<!{D})(?P<postamt>{amount})\s?(?P<post>{syms})"
         rf"|(?P<bare>{syms})"
     )
 
 
-def _currency_candidates(text, config):
+def _currency_candidates(text):
     out = []
     for m in _currency_pattern().finditer(text):
         if m.group("pre"):
@@ -423,7 +424,7 @@ def _currency_candidates(text, config):
     return out
 
 
-def _symbol_candidates(text, config):
+def _symbol_candidates(text):
     out = [
         (SemioticClass.SYMBOL, m.start(), m.end(), {})
         for m in table("symbols")._pattern.finditer(text)
@@ -442,7 +443,7 @@ def _abbrev_fa_pattern() -> re.Pattern:
     return re.compile(rf"(?<![{fa}\w])(?:{alts})(?![{fa}\w])")
 
 
-def _abbrev_fa_candidates(text, config):
+def _abbrev_fa_candidates(text):
     return [
         (SemioticClass.ABBREV_FA, m.start(), m.end(), {})
         for m in _abbrev_fa_pattern().finditer(text)
@@ -455,7 +456,7 @@ _ABBREV_EN_PAT = re.compile(
 )
 
 
-def _abbrev_en_candidates(text, config):
+def _abbrev_en_candidates(text):
     return [
         (SemioticClass.ABBREV_EN, m.start(), m.end(), {})
         for m in _ABBREV_EN_PAT.finditer(text)
@@ -479,10 +480,10 @@ _DETECTORS = [
     (_symbol_candidates, False),
 ]
 
-_ANY_DIGIT = re.compile("[0-9۰-۹]")
+_ANY_DIGIT = re.compile(D)
 
 
-def scan(text: str, config=None) -> list[SemioticSpan]:
+def scan(text: str) -> list[SemioticSpan]:
     """Return all maximal non-overlapping semiotic spans, sorted by start.
 
     Overlaps are resolved by class priority (see ``PRIORITY``), then by
@@ -493,7 +494,7 @@ def scan(text: str, config=None) -> list[SemioticSpan]:
     for detector, digits_only in _DETECTORS:
         if digits_only and not has_digit:
             continue
-        candidates.extend(detector(text, config))
+        candidates.extend(detector(text))
     candidates.sort(
         key=lambda c: (_PRIORITY_INDEX[c[0]], -(c[2] - c[1]), c[1])
     )

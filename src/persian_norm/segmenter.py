@@ -15,19 +15,10 @@ from functools import lru_cache
 
 from .numwords import ZWNJ
 from .resources import lexicon_entries
-from .scanner import SemioticClass, scan
+from .scanner import scan
 
 TERMINAL_MARKS = ".!?؟"
 DEFAULT_VERB_SPLIT_THRESHOLD = 30
-
-_DOT_BEARING = {
-    SemioticClass.DECIMAL,
-    SemioticClass.DATE,
-    SemioticClass.URL,
-    SemioticClass.EMAIL,
-    SemioticClass.ABBREV_FA,
-    SemioticClass.ABBREV_EN,
-}
 
 
 @dataclass(frozen=True)
@@ -103,12 +94,9 @@ def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None)
 
 
 def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
-    """Intervals covering every dot that must not split a sentence."""
-    intervals = []
-    for span in scan(text):
-        if span.cls in _DOT_BEARING and "." in span.raw:
-            intervals.append((span.start, span.end))
-    return sorted(intervals)
+    """Intervals covering every dot that must not split a sentence, sorted
+    and disjoint: those of the spans ``scan`` finds holding a dot."""
+    return [(span.start, span.end) for span in scan(text) if "." in span.raw]
 
 
 _TERMINAL_RUN = re.compile(f"[{re.escape(TERMINAL_MARKS)}]+")

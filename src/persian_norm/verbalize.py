@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 from .numwords import ZWNJ, cardinal_words, decimal_words, grouped_digit_words, ordinal_words
 from .resources import date_templates, table
 from .scanner import (
-    Calendar,
     CalendarDate,
     MONTH_NAMES,
     PhoneKind,
@@ -354,15 +353,15 @@ def verbalize_url_email(raw: str, style: str = "latin") -> str:
 
 # --- the readings of each class --------------------------------------------
 
-def _grouped_id(span: SemioticSpan, config) -> GroupedReadings:
+def _grouped_id(span: SemioticSpan) -> GroupedReadings:
     return grouped_id_readings(span.raw, span.cls)
 
 
-def _url_email(span: SemioticSpan, config) -> list[str]:
-    return [verbalize_url_email(span.raw, style=config.url_word_style)]
+def _url_email(span: SemioticSpan) -> list[str]:
+    return [verbalize_url_email(span.raw)]
 
 
-def _currency(span: SemioticSpan, config) -> list[str]:
+def _currency(span: SemioticSpan) -> list[str]:
     name = verbalize_symbol(span.data["symbol"], SemioticClass.CURRENCY)
     amount = span.data.get("amount")
     if not amount:
@@ -372,23 +371,23 @@ def _currency(span: SemioticSpan, config) -> list[str]:
     return [f"{words} {name}"]
 
 
-def _symbol(span: SemioticSpan, config) -> list[str]:
+def _symbol(span: SemioticSpan) -> list[str]:
     if "numerator" in span.data:
         return [verbalize_fraction(span.data["numerator"], span.data["denominator"])]
     return [verbalize_symbol(span.raw, span.cls)]
 
 
-def _abbreviation(span: SemioticSpan, config) -> list[str]:
+def _abbreviation(span: SemioticSpan) -> list[str]:
     return [expand_abbreviation(span.raw)]
 
 
-# class -> (span, config) -> every legitimate reading of the span, in the
-# order a FIXED policy's index counts; ``config`` supplies ``url_word_style``
-READINGS: dict[SemioticClass, Callable[[SemioticSpan, object], Sequence[str]]] = {
-    SemioticClass.DATE: lambda span, config: date_variants(span.data["date"]),
-    SemioticClass.TIME: lambda span, config: time_variants(
+# class -> span -> every legitimate reading of the span, in the order a FIXED
+# policy's index counts
+READINGS: dict[SemioticClass, Callable[[SemioticSpan], Sequence[str]]] = {
+    SemioticClass.DATE: lambda span: date_variants(span.data["date"]),
+    SemioticClass.TIME: lambda span: time_variants(
         span.data["hour"], span.data["minute"], span.data["second"]),
-    SemioticClass.PHONE: lambda span, config: phone_readings(span.raw, span.data["kind"]),
+    SemioticClass.PHONE: lambda span: phone_readings(span.raw, span.data["kind"]),
     SemioticClass.NATIONAL_ID: _grouped_id,
     SemioticClass.CARD_NUMBER: _grouped_id,
     SemioticClass.SHEBA: _grouped_id,
@@ -400,13 +399,13 @@ READINGS: dict[SemioticClass, Callable[[SemioticSpan, object], Sequence[str]]] =
     SemioticClass.MATH_SYMBOL: _symbol,
     SemioticClass.ABBREV_FA: _abbreviation,
     SemioticClass.ABBREV_EN: _abbreviation,
-    SemioticClass.DECIMAL: lambda span, config: [
+    SemioticClass.DECIMAL: lambda span: [
         decimal_words(span.data["integer"], span.data["fraction"])],
-    SemioticClass.PLAIN_NUMBER: lambda span, config: [
+    SemioticClass.PLAIN_NUMBER: lambda span: [
         cardinal_words(int(ascii_digits(span.raw)))],
 }
 
 
-def span_variants(span: SemioticSpan, config) -> Sequence[str]:
+def span_variants(span: SemioticSpan) -> Sequence[str]:
     """All legitimate spoken renderings of one classified span."""
-    return READINGS[span.cls](span, config)
+    return READINGS[span.cls](span)

@@ -9,7 +9,7 @@ from persian_norm.resources import fixture_path
 def run(argv, stdin=""):
     import sys
     old = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = io.StringIO(stdin) if isinstance(stdin, str) else stdin
     try:
         return run_cli(argv)
     finally:
@@ -43,6 +43,31 @@ def test_normalize_out_file(tmp_path, capsys):
 def test_normalize_multiline_streaming(capsys):
     assert run(["normalize"], stdin="ساعت 8:00\nمتن ساده\n") == 0
     assert capsys.readouterr().out == "ساعت هشت\nمتن ساده\n"
+
+
+@pytest.mark.parametrize("argv, first, first_out, second, second_out", [
+    (["normalize"], "ساعت 8:00\n", "ساعت هشت\n", "متن ساده\n", "متن ساده\n"),
+    (["split"], "هوا سرد بود. بچه‌ها ماندند.\n", "هوا سرد بود.\nبچه‌ها ماندند.\n",
+     "متن ساده\n", "متن ساده\n"),
+    (["scan"], "ساعت 11:35\n", "5\t10\tTIME\t11:35\n", "25$\n",
+     "0\t3\tCURRENCY\t25$\n"),
+], ids=["normalize", "split", "scan"])
+def test_commands_stream_line_by_line(capsys, argv, first, first_out,
+                                      second, second_out):
+    def stdin():
+        yield first
+        # the second line is served only once the first one's output is out
+        assert capsys.readouterr().out == first_out
+        yield second
+
+    assert run(argv, stdin=stdin()) == 0
+    assert capsys.readouterr().out == second_out
+
+
+def test_lines_split_like_str_splitlines(capsys):
+    text = "الف\u2028ب\r\nج\x85د"
+    assert run(["normalize", "--mode", "general"], stdin=text) == 0
+    assert capsys.readouterr().out.split("\n") == text.splitlines() + [""]
 
 
 def test_normalize_seed_deterministic(capsys):
@@ -141,6 +166,12 @@ def test_usage_error_exit_code(capsys):
 def test_io_error_exit_code(capsys):
     assert run(["normalize", "/no/such/file.txt"]) == 2
     assert "I/O error" in capsys.readouterr().err
+
+
+def test_unreadable_input_creates_no_output_file(tmp_path, capsys):
+    dst = tmp_path / "out.txt"
+    assert run(["normalize", "--out", str(dst), "/no/such/file.txt"]) == 2
+    assert not dst.exists()
 
 
 def test_eval_split_missing_gold(capsys):

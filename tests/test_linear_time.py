@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from persian_norm import normalize_speech, split_sentences
+from persian_norm import normalize_speech, scan, split_sentences
 
 GROWTH_BOUND = 1.4
 
@@ -72,4 +72,10 @@ def test_decimal_paragraph_split():
     # looking up each terminal mark in every protected interval was quadratic
     growth = _growth(split_sentences, _decimal_paragraph(2000),
                      _decimal_paragraph(4000))
+    assert growth < GROWTH_BOUND
+
+
+def test_long_digit_run_scan():
+    # the postfix currency amount was retried from every digit of the run
+    growth = _growth(scan, _digit_run(4000), _digit_run(8000), calls=5)
     assert growth < GROWTH_BOUND

@@ -1,7 +1,6 @@
 import pytest
 
 from persian_norm import (
-    Mode,
     PipelineConfig,
     SelectionPolicy,
     enumerate_verbalizations,
@@ -34,7 +33,7 @@ def test_general_idempotent():
 
 
 def test_disable_pass():
-    config = PipelineConfig(mode=Mode.GENERAL).disable("strip_emojis")
+    config = PipelineConfig().disable("strip_emojis")
     assert "😀" in normalize_general("سلام 😀", config)
     assert "😀" not in normalize_general("سلام 😀")
 
@@ -161,7 +160,7 @@ def test_line_streaming_equivalence():
 def test_config_is_frozen():
     config = PipelineConfig()
     with pytest.raises(Exception):
-        config.mode = Mode.GENERAL
+        config.policy = SelectionPolicy.seeded(1)
 
 
 def test_pass_names_stable():

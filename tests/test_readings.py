@@ -176,7 +176,7 @@ def test_enumeration_is_the_product_of_every_reading():
     line = "کارت 6104337852441441 با موبایل 09397796915 ساعت 11:35"
     config = PipelineConfig()
     text = normalize_general(line, config)
-    spans = scan(text, config)
+    spans = scan(text)
     assert [s.cls for s in spans] == [SemioticClass.CARD_NUMBER,
                                       SemioticClass.PHONE, SemioticClass.TIME]
     lists = [
@@ -200,10 +200,10 @@ def test_seeded_speech_draws_like_choose():
         config = PipelineConfig(policy=SelectionPolicy.seeded(seed))
         for line in lines:
             text = normalize_general(line, config)
-            spans = scan(text, config)
+            spans = scan(text)
             draws = random.Random(seed)
             expected = _assemble(text, spans, [
-                config.policy.choose(span_variants(span, config), draws)
+                config.policy.choose(span_variants(span), draws)
                 for span in spans
             ])
             assert normalize_speech(line, config) == expected

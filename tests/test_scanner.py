@@ -63,6 +63,18 @@ def test_scan_lunar_context():
     assert dates and dates[0].data["date"].calendar is Calendar.LUNAR_HIJRI
 
 
+def test_arabic_indic_digits():
+    spans = scan("١٤٠٠/١/٢ ساعت ١٢:٣٠ با ٠٩٣٩٧٧٩٦٩١٥")
+    assert [(s.cls, s.raw) for s in spans] == [
+        (SemioticClass.DATE, "١٤٠٠/١/٢"),
+        (SemioticClass.TIME, "١٢:٣٠"),
+        (SemioticClass.PHONE, "٠٩٣٩٧٧٩٦٩١٥"),
+    ]
+    assert spans[0].data["date"] == CalendarDate(Calendar.SOLAR_HIJRI, 1400, 1, 2)
+    assert (spans[1].data["hour"], spans[1].data["minute"]) == (12, 30)
+    assert spans[2].data["kind"] is PhoneKind.MOBILE
+
+
 def test_spans_sorted_non_overlapping():
     spans = scan("در 1400-07-25 ساعت 11:35 با 09397796915 تماس بگیرید")
     starts = [s.start for s in spans]

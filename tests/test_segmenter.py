@@ -1,10 +1,13 @@
 import pytest
 
 from persian_norm import (
+    SemioticClass,
     VerbLexicon,
     default_lexicon,
     detect_verb_positions,
     evaluate_segmentation,
+    normalize_general,
+    scan,
     split_sentences,
 )
 from persian_norm.cli import evaluate_gold_fixture, read_gold_fixture
@@ -56,6 +59,39 @@ def test_url_dot_protected():
 def test_email_dot_protected():
     out = split_sentences("به a@b.com بنویسید. پاسخ می‌رسد.")
     assert out == ["به a@b.com بنویسید.", "پاسخ می‌رسد."]
+
+
+def test_arabic_indic_decimal_dot_protected():
+    out = split_sentences("عدد ٣.١٤ مهم است. تمام شد.")
+    assert out == ["عدد ٣.١٤ مهم است.", "تمام شد."]
+
+
+_MIXED_LINES = [
+    "در 1397.7.9 ساعت 11:35 با 09397796915 یا 021-88776655 تماس بگیرید.",
+    "کارت 6104337852441441 و کد 0499370899 و شبا IR820540102680020817909002.",
+    "سایت www.example.com و example.ir و ایمیل mina.info@example.com.",
+    "قیمت 12.5$ و $12.5 و 3.5 € و € و 25$ بود.",
+    "نسبت ½ و 1/2 و 3 × 4 و 50% و a@b و Ph.D و NASA و U.S.A. و ر.ک آمد.",
+    "عدد 3.14 و 12345678901234567890 و 42. تمام.",
+]
+_DOTTED_CLASSES = {
+    SemioticClass.DECIMAL, SemioticClass.DATE, SemioticClass.URL,
+    SemioticClass.EMAIL, SemioticClass.ABBREV_FA, SemioticClass.ABBREV_EN,
+}
+
+
+def test_only_dotted_classes_hold_a_dot():
+    # the segmenter protects every span that holds a dot; over lines with
+    # every class, only these six ever do (a currency amount such as 12.5$
+    # leaves its dot to the decimal)
+    seen = set()
+    for line in _MIXED_LINES:
+        for text in (line, normalize_general(line)):
+            for span in scan(text):
+                seen.add(span.cls)
+                if "." in span.raw:
+                    assert span.cls in _DOTTED_CLASSES, (span.cls, span.raw)
+    assert seen == set(SemioticClass)
 
 
 def test_protected_intervals_cover_dots():
