@@ -49,7 +49,6 @@ from .segmenter import (
     split_sentences,
 )
 from .verbalize import (
-    PolicyMode,
     SelectionPolicy,
     expand_abbreviation,
     verbalize_symbol,
@@ -63,7 +62,6 @@ __all__ = [
     "CalendarDate",
     "PhoneKind",
     "PipelineConfig",
-    "PolicyMode",
     "SelectionPolicy",
     "SemioticClass",
     "SemioticSpan",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from pathlib import Path
 
 from .pipeline import (
     PASS_NAMES,
@@ -145,10 +146,7 @@ def _cmd_split(args) -> int:
 def read_gold_fixture(path) -> list[list[str]]:
     """Gold fixture file -> list of paragraphs, each a list of sentences."""
     paragraphs: list[list[str]] = [[]]
-    text = (
-        path.read_text(encoding="utf-8")
-        if hasattr(path, "read_text") else open(path, encoding="utf-8").read()
-    )
+    text = Path(path).read_text(encoding="utf-8")
     for ln in text.splitlines():
         ln = ln.strip()
         if ln.startswith("#"):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from . import charset
 from .scanner import SemioticSpan, scan
-from .verbalize import PolicyMode, SelectionPolicy, option_count, span_variants
+from .verbalize import SelectionPolicy, option_count, span_variants
 
 GENERAL_PASSES = (
     ("fold_characters", charset.fold_characters),
@@ -76,8 +76,7 @@ def normalize_speech(text: str, config: PipelineConfig | None = None) -> str:
     if not spans:
         return text
     policy = config.policy
-    rng = (random.Random(policy.seed)
-           if policy.mode is PolicyMode.SEEDED_RANDOM else None)
+    rng = random.Random(policy.seed) if policy.seed is not None else None
     replacements = [policy.choose(span_variants(span), rng)
                     for span in spans]
     return _assemble(text, spans, replacements)

@@ -11,7 +11,6 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 from .resources import table
 
@@ -26,45 +25,27 @@ def ascii_digits(s: str) -> str:
     return s.translate(_TO_ASCII)
 
 
+# members are declared in overlap resolution order, highest priority first
 class SemioticClass(Enum):
+    URL = "URL"
+    EMAIL = "EMAIL"
+    SHEBA = "SHEBA"
     DATE = "DATE"
     TIME = "TIME"
     PHONE = "PHONE"
-    NATIONAL_ID = "NATIONAL_ID"
     CARD_NUMBER = "CARD_NUMBER"
-    SHEBA = "SHEBA"
-    URL = "URL"
-    EMAIL = "EMAIL"
-    CURRENCY = "CURRENCY"
-    SYMBOL = "SYMBOL"
-    MATH_SYMBOL = "MATH_SYMBOL"
-    ABBREV_FA = "ABBREV_FA"
-    ABBREV_EN = "ABBREV_EN"
-    PLAIN_NUMBER = "PLAIN_NUMBER"
-    LONG_NUMBER = "LONG_NUMBER"
+    NATIONAL_ID = "NATIONAL_ID"
     DECIMAL = "DECIMAL"
+    LONG_NUMBER = "LONG_NUMBER"
+    CURRENCY = "CURRENCY"
+    ABBREV_EN = "ABBREV_EN"
+    ABBREV_FA = "ABBREV_FA"
+    MATH_SYMBOL = "MATH_SYMBOL"
+    SYMBOL = "SYMBOL"
+    PLAIN_NUMBER = "PLAIN_NUMBER"
 
 
-# overlap resolution order, highest priority first
-PRIORITY = [
-    SemioticClass.URL,
-    SemioticClass.EMAIL,
-    SemioticClass.SHEBA,
-    SemioticClass.DATE,
-    SemioticClass.TIME,
-    SemioticClass.PHONE,
-    SemioticClass.CARD_NUMBER,
-    SemioticClass.NATIONAL_ID,
-    SemioticClass.DECIMAL,
-    SemioticClass.LONG_NUMBER,
-    SemioticClass.CURRENCY,
-    SemioticClass.ABBREV_EN,
-    SemioticClass.ABBREV_FA,
-    SemioticClass.MATH_SYMBOL,
-    SemioticClass.SYMBOL,
-    SemioticClass.PLAIN_NUMBER,
-]
-_PRIORITY_INDEX = {cls: i for i, cls in enumerate(PRIORITY)}
+_PRIORITY_INDEX = {cls: i for i, cls in enumerate(SemioticClass)}
 
 
 class Calendar(Enum):
@@ -161,13 +142,8 @@ def infer_calendar(year: int, default: Calendar = Calendar.SOLAR_HIJRI,
     return default
 
 
-@lru_cache(maxsize=None)
-def _cue_words() -> frozenset:
-    return frozenset(s for s, _ in table("phone_cues").entries)
-
-@lru_cache(maxsize=None)
-def _area_codes() -> frozenset:
-    return frozenset(s for s, _ in table("area_codes").entries)
+_CUE_WORDS = frozenset(s for s, _ in table("phone_cues").entries)
+_AREA_CODES = frozenset(s for s, _ in table("area_codes").entries)
 
 
 def classify_phone(digits: str, left_context: str = "",
@@ -178,11 +154,11 @@ def classify_phone(digits: str, left_context: str = "",
         return None
     if len(digits) == 11 and digits.startswith("09"):
         return PhoneKind.MOBILE
-    if len(digits) == 11 and digits[:3] in _area_codes():
+    if len(digits) == 11 and digits[:3] in _AREA_CODES:
         return PhoneKind.LANDLINE
     if len(digits) == 8:
         context = f"{left_context} {right_context}"
-        if any(cue in context for cue in _cue_words()):
+        if any(cue in context for cue in _CUE_WORDS):
             return PhoneKind.LANDLINE
     return None
 
@@ -234,52 +210,48 @@ def validate_sheba(candidate: str) -> bool:
 
 
 # --- detectors -------------------------------------------------------------
+#
+# A detector is a pattern plus a function from one of its matches (and the
+# text) to a candidate ``(cls, start, end, data)``, or to None when a check
+# on the match fails.
 
 _DATE_PAT = re.compile(
     rf"(?<!{D})({D}{{1,4}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
 )
 
 
-def _date_candidates(text):
-    out = []
-    for m in _DATE_PAT.finditer(text):
-        a, _, b, c = m.groups()
-        a_i, b_i, c_i = int(ascii_digits(a)), int(ascii_digits(b)), int(ascii_digits(c))
-        if len(a) >= 3 or a_i > 31:
-            y, mo, d = a_i, b_i, c_i
-        elif len(c) >= 3 or c_i > 31:
-            d, mo, y = a_i, b_i, c_i
-        else:
-            continue
-        if not 1 <= mo <= 12:
-            continue
-        window = text[max(0, m.start() - 20):min(len(text), m.end() + 20)]
-        lunar = any(name in window for name in LUNAR_MONTHS)
-        cal = infer_calendar(y, lunar_context=lunar)
-        try:
-            date = CalendarDate(cal, y, mo, d)
-        except ValueError:
-            continue
-        out.append((SemioticClass.DATE, m.start(), m.end(), {"date": date}))
-    return out
+def _date(m, text):
+    a, _, b, c = m.groups()
+    a_i, b_i, c_i = int(ascii_digits(a)), int(ascii_digits(b)), int(ascii_digits(c))
+    if len(a) >= 3 or a_i > 31:
+        y, mo, d = a_i, b_i, c_i
+    elif len(c) >= 3 or c_i > 31:
+        d, mo, y = a_i, b_i, c_i
+    else:
+        return None
+    if not 1 <= mo <= 12:
+        return None
+    window = text[max(0, m.start() - 20):min(len(text), m.end() + 20)]
+    lunar = any(name in window for name in LUNAR_MONTHS)
+    cal = infer_calendar(y, lunar_context=lunar)
+    try:
+        date = CalendarDate(cal, y, mo, d)
+    except ValueError:
+        return None
+    return SemioticClass.DATE, m.start(), m.end(), {"date": date}
 
 
 _TIME_PAT = re.compile(rf"(?<!{D})({D}{{1,2}}):({D}{{2}})(?::({D}{{2}}))?(?!{D})")
 
 
-def _time_candidates(text):
-    out = []
-    for m in _TIME_PAT.finditer(text):
-        h = int(ascii_digits(m.group(1)))
-        mi = int(ascii_digits(m.group(2)))
-        s = int(ascii_digits(m.group(3))) if m.group(3) else None
-        if h > 23 or mi > 59 or (s is not None and s > 59):
-            continue
-        out.append((
-            SemioticClass.TIME, m.start(), m.end(),
-            {"hour": h, "minute": mi, "second": s},
-        ))
-    return out
+def _time(m, text):
+    h = int(ascii_digits(m.group(1)))
+    mi = int(ascii_digits(m.group(2)))
+    s = int(ascii_digits(m.group(3))) if m.group(3) else None
+    if h > 23 or mi > 59 or (s is not None and s > 59):
+        return None
+    return (SemioticClass.TIME, m.start(), m.end(),
+            {"hour": h, "minute": mi, "second": s})
 
 
 _TLD = r"(?:com|org|net|ir|io|edu|gov|info|biz|co|uk|de|fr|me|tv|html)"
@@ -293,14 +265,11 @@ _URL_PAT = re.compile(
 )
 
 
-def _url_candidates(text):
-    out = []
-    for m in _URL_PAT.finditer(text):
-        end = m.end()
-        while end > m.start() and text[end - 1] in ".,;:!؟?)»،":
-            end -= 1
-        out.append((SemioticClass.URL, m.start(), end, {}))
-    return out
+def _url(m, text):
+    end = m.end()
+    while end > m.start() and text[end - 1] in ".,;:!؟?)»،":
+        end -= 1
+    return SemioticClass.URL, m.start(), end, {}
 
 
 # a local part starts only where the previous character cannot extend it,
@@ -309,146 +278,90 @@ _EMAIL_PAT = re.compile(
     r"(?<![A-Za-z0-9._\-])[A-Za-z0-9._\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}"
 )
 
-
-def _email_candidates(text):
-    return [
-        (SemioticClass.EMAIL, m.start(), m.end(), {})
-        for m in _EMAIL_PAT.finditer(text)
-    ]
-
-
 _SHEBA_PAT = re.compile(rf"IR{D}{{24}}(?!{D})")
 
 
-def _sheba_candidates(text):
-    out = []
-    for m in _SHEBA_PAT.finditer(text):
-        if validate_sheba(m.group(0)):
-            out.append((SemioticClass.SHEBA, m.start(), m.end(), {}))
-    return out
+def _sheba(m, text):
+    if not validate_sheba(m.group(0)):
+        return None
+    return SemioticClass.SHEBA, m.start(), m.end(), {}
 
 
 _DIGIT_RUN_PAT = re.compile(rf"{D}+")
 
 
-def _digit_run_candidates(text):
-    """Phone / card / national ID / long / plain classification of digit runs."""
-    out = []
-    for m in _DIGIT_RUN_PAT.finditer(text):
-        run = ascii_digits(m.group(0))
-        left = text[max(0, m.start() - 20):m.start()]
-        right = text[m.end():m.end() + 20]
-        kind = classify_phone(run, left, right)
-        if kind is not None:
-            out.append((
-                SemioticClass.PHONE, m.start(), m.end(), {"kind": kind},
-            ))
-            continue
-        if len(run) == 16 and validate_card(run):
-            out.append((SemioticClass.CARD_NUMBER, m.start(), m.end(), {}))
-            continue
-        if len(run) == 10 and validate_national_id(run):
-            out.append((SemioticClass.NATIONAL_ID, m.start(), m.end(), {}))
-            continue
-        if len(run) > 15:
-            out.append((SemioticClass.LONG_NUMBER, m.start(), m.end(), {}))
-        else:
-            out.append((SemioticClass.PLAIN_NUMBER, m.start(), m.end(), {}))
-    return out
+def _digit_run(m, text):
+    """Phone / card / national ID / long / plain classification of a digit run."""
+    run = ascii_digits(m.group(0))
+    left = text[max(0, m.start() - 20):m.start()]
+    right = text[m.end():m.end() + 20]
+    kind = classify_phone(run, left, right)
+    if kind is not None:
+        return SemioticClass.PHONE, m.start(), m.end(), {"kind": kind}
+    if len(run) == 16 and validate_card(run):
+        cls = SemioticClass.CARD_NUMBER
+    elif len(run) == 10 and validate_national_id(run):
+        cls = SemioticClass.NATIONAL_ID
+    elif len(run) > 15:
+        cls = SemioticClass.LONG_NUMBER
+    else:
+        cls = SemioticClass.PLAIN_NUMBER
+    return cls, m.start(), m.end(), {}
 
 
 _DECIMAL_PAT = re.compile(rf"(?<!{D})({D}{{1,15}})\.({D}+)(?!{D})")
 
 
-def _decimal_candidates(text):
-    return [
-        (SemioticClass.DECIMAL, m.start(), m.end(),
-         {"integer": ascii_digits(m.group(1)),
-          "fraction": ascii_digits(m.group(2))})
-        for m in _DECIMAL_PAT.finditer(text)
-    ]
+def _decimal(m, text):
+    return (SemioticClass.DECIMAL, m.start(), m.end(),
+            {"integer": ascii_digits(m.group(1)),
+             "fraction": ascii_digits(m.group(2))})
 
 
 # simple x/y fractions (x < y) read as spoken fractions, e.g. ۱/۲
 _FRACTION_PAT = re.compile(rf"(?<!{D})({D}{{1,2}})/({D}{{1,2}})(?!{D})")
 
 
-def _fraction_candidates(text):
-    out = []
-    for m in _FRACTION_PAT.finditer(text):
-        num = int(ascii_digits(m.group(1)))
-        den = int(ascii_digits(m.group(2)))
-        if 0 < num < den <= 20:
-            out.append((
-                SemioticClass.MATH_SYMBOL, m.start(), m.end(),
-                {"numerator": num, "denominator": den},
-            ))
-    return out
+def _fraction(m, text):
+    num = int(ascii_digits(m.group(1)))
+    den = int(ascii_digits(m.group(2)))
+    if not 0 < num < den <= 20:
+        return None
+    return (SemioticClass.MATH_SYMBOL, m.start(), m.end(),
+            {"numerator": num, "denominator": den})
 
 
-@lru_cache(maxsize=None)
-def _currency_pattern() -> re.Pattern:
-    # every currency symbol is one character, so the table's longest-first
-    # order is its file order
-    syms = table("currencies")._pattern.pattern
-    amount = rf"{D}+(?:\.{D}+)?"
-    return re.compile(
-        rf"(?P<pre>{syms})\s?(?P<preamt>{amount})"
-        # an amount starts only where a digit run does: no retry from each
-        # digit of a long run
-        rf"|(?<!{D})(?P<postamt>{amount})\s?(?P<post>{syms})"
-        rf"|(?P<bare>{syms})"
-    )
+# every currency symbol is one character, so the table's longest-first order
+# is its file order.  Each symbol occurrence also gives a bare-symbol
+# candidate from the table's own pattern: the reading left when a
+# higher-priority class (e.g. DECIMAL) claims the amount
+_CURRENCY_SYMBOL_PAT = table("currencies")._pattern
+_AMOUNT = rf"{D}+(?:\.{D}+)?"
+_CURRENCY_PAT = re.compile(
+    rf"(?P<pre>{_CURRENCY_SYMBOL_PAT.pattern})\s?(?P<preamt>{_AMOUNT})"
+    # an amount starts only where a digit run does: no retry from each digit
+    # of a long run
+    rf"|(?<!{D})(?P<postamt>{_AMOUNT})\s?(?P<post>{_CURRENCY_SYMBOL_PAT.pattern})"
+)
 
 
-def _currency_candidates(text):
-    out = []
-    for m in _currency_pattern().finditer(text):
-        if m.group("pre"):
-            data = {"symbol": m.group("pre"), "amount": m.group("preamt")}
-            sym_span = m.span("pre")
-        elif m.group("post"):
-            data = {"symbol": m.group("post"), "amount": m.group("postamt")}
-            sym_span = m.span("post")
-        else:
-            data = {"symbol": m.group("bare"), "amount": None}
-            sym_span = None
-        out.append((SemioticClass.CURRENCY, m.start(), m.end(), data))
-        if sym_span is not None:
-            # fallback bare-symbol span in case the amount is claimed by a
-            # higher-priority class (e.g. DECIMAL)
-            out.append((
-                SemioticClass.CURRENCY, sym_span[0], sym_span[1],
-                {"symbol": data["symbol"], "amount": None},
-            ))
-    return out
+def _currency(m, text):
+    if m.group("pre"):
+        data = {"symbol": m.group("pre"), "amount": m.group("preamt")}
+    else:
+        data = {"symbol": m.group("post"), "amount": m.group("postamt")}
+    return SemioticClass.CURRENCY, m.start(), m.end(), data
 
 
-def _symbol_candidates(text):
-    out = [
-        (SemioticClass.SYMBOL, m.start(), m.end(), {})
-        for m in table("symbols")._pattern.finditer(text)
-    ]
-    out += [
-        (SemioticClass.MATH_SYMBOL, m.start(), m.end(), {})
-        for m in table("math_symbols")._pattern.finditer(text)
-    ]
-    return out
+def _bare_currency(m, text):
+    return (SemioticClass.CURRENCY, m.start(), m.end(),
+            {"symbol": m.group(0), "amount": None})
 
 
-@lru_cache(maxsize=None)
-def _abbrev_fa_pattern() -> re.Pattern:
-    alts = table("abbrev_fa")._pattern.pattern
-    fa = r"؀-ۿ"
-    return re.compile(rf"(?<![{fa}\w])(?:{alts})(?![{fa}\w])")
-
-
-def _abbrev_fa_candidates(text):
-    return [
-        (SemioticClass.ABBREV_FA, m.start(), m.end(), {})
-        for m in _abbrev_fa_pattern().finditer(text)
-    ]
-
+_FA = r"؀-ۿ"
+_ABBREV_FA_PAT = re.compile(
+    rf"(?<![{_FA}\w])(?:{table('abbrev_fa')._pattern.pattern})(?![{_FA}\w])"
+)
 
 _ABBREV_EN_PAT = re.compile(
     r"\b[A-Za-z]{1,3}(?:\.[A-Za-z]{1,3})+\.?"   # dotted: Ph.D, U.S.A.
@@ -456,28 +369,28 @@ _ABBREV_EN_PAT = re.compile(
 )
 
 
-def _abbrev_en_candidates(text):
-    return [
-        (SemioticClass.ABBREV_EN, m.start(), m.end(), {})
-        for m in _ABBREV_EN_PAT.finditer(text)
-    ]
+def _whole_match(cls):
+    return lambda m, text: (cls, m.start(), m.end(), {})
 
 
-# detectors flagged True only ever match digit-bearing spans and can be
-# skipped outright when the text has no digits
+# (pattern, candidate, digits_only): a row flagged digits_only only ever
+# matches digit-bearing spans and is skipped outright when the text has no
+# digits
 _DETECTORS = [
-    (_url_candidates, False),
-    (_email_candidates, False),
-    (_sheba_candidates, True),
-    (_date_candidates, True),
-    (_time_candidates, True),
-    (_digit_run_candidates, True),
-    (_decimal_candidates, True),
-    (_currency_candidates, False),
-    (_abbrev_en_candidates, False),
-    (_abbrev_fa_candidates, False),
-    (_fraction_candidates, True),
-    (_symbol_candidates, False),
+    (_URL_PAT, _url, False),
+    (_EMAIL_PAT, _whole_match(SemioticClass.EMAIL), False),
+    (_SHEBA_PAT, _sheba, True),
+    (_DATE_PAT, _date, True),
+    (_TIME_PAT, _time, True),
+    (_DIGIT_RUN_PAT, _digit_run, True),
+    (_DECIMAL_PAT, _decimal, True),
+    (_CURRENCY_PAT, _currency, True),
+    (_CURRENCY_SYMBOL_PAT, _bare_currency, False),
+    (_ABBREV_EN_PAT, _whole_match(SemioticClass.ABBREV_EN), False),
+    (_ABBREV_FA_PAT, _whole_match(SemioticClass.ABBREV_FA), False),
+    (_FRACTION_PAT, _fraction, True),
+    (table("symbols")._pattern, _whole_match(SemioticClass.SYMBOL), False),
+    (table("math_symbols")._pattern, _whole_match(SemioticClass.MATH_SYMBOL), False),
 ]
 
 _ANY_DIGIT = re.compile(D)
@@ -486,15 +399,18 @@ _ANY_DIGIT = re.compile(D)
 def scan(text: str) -> list[SemioticSpan]:
     """Return all maximal non-overlapping semiotic spans, sorted by start.
 
-    Overlaps are resolved by class priority (see ``PRIORITY``), then by
-    match length, then by position.
+    Overlaps are resolved by class priority (the order of ``SemioticClass``),
+    then by match length, then by position.
     """
     has_digit = _ANY_DIGIT.search(text) is not None
     candidates = []
-    for detector, digits_only in _DETECTORS:
+    for pattern, candidate, digits_only in _DETECTORS:
         if digits_only and not has_digit:
             continue
-        candidates.extend(detector(text))
+        for m in pattern.finditer(text):
+            c = candidate(m, text)
+            if c is not None:
+                candidates.append(c)
     candidates.sort(
         key=lambda c: (_PRIORITY_INDEX[c[0]], -(c[2] - c[1]), c[1])
     )

@@ -11,7 +11,6 @@ import random
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, lru_cache
 
 from .numwords import ZWNJ, cardinal_words, decimal_words, grouped_digit_words, ordinal_words
@@ -26,24 +25,21 @@ from .scanner import (
 )
 
 
-class PolicyMode(Enum):
-    FIXED = "FIXED"
-    SEEDED_RANDOM = "SEEDED_RANDOM"
-
-
 @dataclass(frozen=True)
 class SelectionPolicy:
-    mode: PolicyMode = PolicyMode.FIXED
+    """Takes option ``index`` when ``seed`` is None (``fixed``); otherwise
+    draws from ``random.Random(seed)`` (``seeded``)."""
+
     index: int = 0
-    seed: int = 0
+    seed: int | None = None
 
     @classmethod
     def fixed(cls, index: int = 0) -> "SelectionPolicy":
-        return cls(mode=PolicyMode.FIXED, index=index)
+        return cls(index=index)
 
     @classmethod
     def seeded(cls, seed: int) -> "SelectionPolicy":
-        return cls(mode=PolicyMode.SEEDED_RANDOM, seed=seed)
+        return cls(seed=seed)
 
     def pick(self, count: int, rng: random.Random | None = None) -> int:
         """Index of the option this policy takes among ``count`` options.
@@ -53,7 +49,7 @@ class SelectionPolicy:
         """
         if count < 1:
             raise ValueError("no options to choose from")
-        if self.mode is PolicyMode.FIXED:
+        if self.seed is None:
             return self.index if self.index < count else 0
         rng = rng if rng is not None else random.Random(self.seed)
         return rng.randrange(count)
@@ -69,14 +65,14 @@ def option_count(options: Sequence[str]) -> int:
 
 
 @lru_cache(maxsize=None)
-def compositions(n: int, parts: tuple[int, ...] = (3, 2)) -> tuple[tuple[int, ...], ...]:
-    """All orderings of ``parts`` summing to n, larger parts first."""
+def compositions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All orderings of 3s and 2s summing to n, those starting with 3 first."""
     if n == 0:
         return ((),)
     out = []
-    for p in parts:
+    for p in (3, 2):
         if p <= n:
-            for rest in compositions(n - p, parts):
+            for rest in compositions(n - p):
                 out.append((p,) + rest)
     return tuple(out)
 

@@ -1,8 +1,9 @@
 import io
+import warnings
 
 import pytest
 
-from persian_norm.cli import run_cli
+from persian_norm.cli import evaluate_gold_fixture, run_cli
 from persian_norm.resources import fixture_path
 
 
@@ -172,6 +173,14 @@ def test_unreadable_input_creates_no_output_file(tmp_path, capsys):
     dst = tmp_path / "out.txt"
     assert run(["normalize", "--out", str(dst), "/no/such/file.txt"]) == 2
     assert not dst.exists()
+
+
+def test_eval_split_closes_gold_file():
+    path = str(fixture_path("segmentation_gold.txt"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evaluate_gold_fixture(path)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_eval_split_missing_gold(capsys):

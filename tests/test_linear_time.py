@@ -1,13 +1,16 @@
 """Time grows linearly on the input shapes that used to be super-linear.
 
-Each test times an input and the same shape at twice the size, best of
-three, and bounds log2 of the time ratio: about 1 when time is linear, 2
-when it is quadratic.  The sizes are large enough that a quadratic cost
-dominates the per-call overhead.
+Each test times an input and the same shape at twice the size, one after
+the other, seven times with the garbage collector off (as ``timeit`` does),
+and bounds the median of the seven log2 time ratios: about 1 when time is
+linear, 2 when it is quadratic.  The sizes are large enough that a quadratic
+cost dominates the per-call overhead.
 """
 
+import gc
 import math
 import random
+import statistics
 import time
 
 from persian_norm import normalize_speech, scan, split_sentences
@@ -16,16 +19,20 @@ GROWTH_BOUND = 1.4
 
 
 def _growth(fn, small, big, calls=1):
-    def best(arg):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(calls):
-                fn(arg)
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def timed(arg):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn(arg)
+        return time.perf_counter() - start
 
-    return math.log2(best(big) / best(small))
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ratios = [math.log2(timed(big) / timed(small)) for _ in range(7)]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return statistics.median(ratios)
 
 
 def _letter_run(n):

@@ -234,6 +234,29 @@ def test_currency_number_then_symbol():
     assert spans[0].data["amount"] == "25"
 
 
+# the currency shapes: an amount before or after its symbol, a bare symbol,
+# and the bare-symbol fallback when a higher class claims the amount
+@pytest.mark.parametrize("text, expected", [
+    ("قیمت $25 بود", [
+        (SemioticClass.CURRENCY, "$25", {"symbol": "$", "amount": "25"})]),
+    ("25 € شد", [
+        (SemioticClass.CURRENCY, "25 €", {"symbol": "€", "amount": "25"})]),
+    ("12.5$", [
+        (SemioticClass.DECIMAL, "12.5", {"integer": "12", "fraction": "5"}),
+        (SemioticClass.CURRENCY, "$", {"symbol": "$", "amount": None})]),
+    ("فقط € است", [
+        (SemioticClass.CURRENCY, "€", {"symbol": "€", "amount": None})]),
+    ("$12$", [
+        (SemioticClass.CURRENCY, "$12", {"symbol": "$", "amount": "12"}),
+        (SemioticClass.CURRENCY, "$", {"symbol": "$", "amount": None})]),
+    ("1/2 و ½", [
+        (SemioticClass.MATH_SYMBOL, "1/2", {"numerator": 1, "denominator": 2}),
+        (SemioticClass.MATH_SYMBOL, "½", {})]),
+])
+def test_currency_and_symbol_shapes(text, expected):
+    assert [(s.cls, s.raw, s.data) for s in scan(text)] == expected
+
+
 def test_persian_digit_detection():
     spans = scan("ساعت ۱۱:۳۵")
     assert spans[0].cls is SemioticClass.TIME
