@@ -41,8 +41,8 @@ from .scanner import (
     validate_sheba,
 )
 from .segmenter import (
+    DEFAULT_LEXICON,
     VerbLexicon,
-    default_lexicon,
     detect_verb_positions,
     evaluate_segmentation,
     protect_non_terminal_dots,
@@ -60,6 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Calendar",
     "CalendarDate",
+    "DEFAULT_LEXICON",
     "PhoneKind",
     "PipelineConfig",
     "SelectionPolicy",
@@ -70,7 +71,6 @@ __all__ = [
     "classify_phone",
     "decimal_words",
     "decode_markup_entities",
-    "default_lexicon",
     "detect_verb_positions",
     "enumerate_verbalizations",
     "evaluate_segmentation",

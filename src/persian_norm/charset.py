@@ -10,35 +10,29 @@ from __future__ import annotations
 
 import html
 import re
-from functools import lru_cache
 
-from .resources import emoji_ranges, table
+from .resources import MappingTable, rows, table
 
-
-@lru_cache(maxsize=None)
-def _char_tables():
-    # ligatures first so multi-char surfaces win over their constituents
-    lig = table("ligature_map")
-    chars = table("char_map")
-    merged = tuple(lig.entries) + tuple(chars.entries)
-    from .resources import MappingTable
-
-    return MappingTable(entries=merged)
+# ligatures first so multi-char surfaces win over their constituents
+_CHARS = MappingTable(
+    entries=table("ligature_map").entries + table("char_map").entries)
+_DIGITS = table("digit_map")
+_PUNCT = table("punct_map")
 
 
 def fold_characters(text: str) -> str:
     """Fold Arabic letter variants, decorated Latin letters and ligatures."""
-    return _char_tables().apply(text)
+    return _CHARS.apply(text)
 
 
 def fold_digits(text: str) -> str:
     """Replace every supported digit variant with Persian digits."""
-    return table("digit_map").apply(text)
+    return _DIGITS.apply(text)
 
 
 def fold_punctuation(text: str) -> str:
     """Canonicalize punctuation variants and expand vulgar fractions."""
-    return table("punct_map").apply(text)
+    return _PUNCT.apply(text)
 
 
 def decode_markup_entities(text: str) -> str:
@@ -46,25 +40,26 @@ def decode_markup_entities(text: str) -> str:
     return html.unescape(text)
 
 
-@lru_cache(maxsize=None)
-def _emoji_pattern() -> re.Pattern:
-    cls = "".join(
-        f"{chr(lo)}-{chr(hi)}" if hi > lo else chr(lo)
-        for lo, hi in emoji_ranges()
-    )
-    atom = f"[{cls}]"
-    # one emoji with optional variation selector, then ZWJ-joined continuations
-    seq = atom + "\ufe0f?(?:\u200d" + atom + "\ufe0f?)*"
-    return re.compile(seq)
+# one "LO-HI" range of hexadecimal code points per line
+_EMOJI_RANGES = tuple(
+    (int(lo, 16), int(hi, 16))
+    for lo, hi in (ln.split("-") for ln in rows("emoji_ranges.txt"))
+)
+_EMOJI_ATOM = "[" + "".join(
+    f"{chr(lo)}-{chr(hi)}" if hi > lo else chr(lo) for lo, hi in _EMOJI_RANGES
+) + "]"
+# one emoji with optional variation selector, then ZWJ-joined continuations
+_EMOJI_PAT = re.compile(
+    _EMOJI_ATOM + "\ufe0f?(?:\u200d" + _EMOJI_ATOM + "\ufe0f?)*")
 
 
 def strip_emojis(text: str) -> str:
     """Remove emoji sequences and collapse the whitespace they leave behind."""
-    out = _emoji_pattern().sub("", text)
+    out = _EMOJI_PAT.sub("", text)
     out = re.sub(r"  +", " ", out)
     return out.strip()
 
 
 def is_emoji_char(ch: str) -> bool:
     cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in emoji_ranges())
+    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)

@@ -1,15 +1,14 @@
-"""Loading of the bundled mapping tables and rule files.
+"""Reading of the bundled mapping tables and rule files.
 
 All tables are UTF-8 tab-separated resource files with "#" comment lines.
-They are read once and cached; the resulting structures are immutable and
-safe to share between threads.
+Each is read once, when the module that uses it is imported; the resulting
+structures are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources as importlib_resources
 
 
@@ -17,9 +16,10 @@ def _data_root():
     return importlib_resources.files("persian_norm") / "data"
 
 
-def _read_lines(relpath: str) -> list[str]:
+def rows(relpath: str) -> list[str]:
+    """The lines of a bundled file, without blank and "#" comment lines."""
     text = (_data_root() / relpath).read_text(encoding="utf-8")
-    return [ln.rstrip("\n") for ln in text.splitlines()]
+    return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class MappingTable:
     """Ordered surface -> replacement table with longest-match-first lookup."""
 
     entries: tuple[tuple[str, str], ...]
-    _pattern: re.Pattern = field(repr=False, compare=False, default=None)
-    _lookup: dict = field(repr=False, compare=False, default=None)
+    pattern: re.Pattern = field(init=False, repr=False, compare=False)
+    _lookup: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         surfaces = [s for s, _ in self.entries]
@@ -38,15 +38,12 @@ class MappingTable:
             raise ValueError("duplicate surface string in mapping table")
         ordered = sorted(surfaces, key=len, reverse=True)
         pattern = re.compile("|".join(re.escape(s) for s in ordered))
-        object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "_lookup", dict(self.entries))
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self._lookup)
 
     def apply(self, text: str) -> str:
         lookup = self._lookup
-        return self._pattern.sub(lambda m: lookup[m.group(0)], text)
+        return self.pattern.sub(lambda m: lookup[m.group(0)], text)
 
     def __contains__(self, surface: str) -> bool:
         return surface in self._lookup
@@ -55,55 +52,11 @@ class MappingTable:
         return self._lookup[surface]
 
 
-def _parse_tsv(relpath: str) -> list[tuple[str, str]]:
-    pairs = []
-    for ln in _read_lines(relpath):
-        if not ln or ln.startswith("#"):
-            continue
-        if "\t" in ln:
-            surface, replacement = ln.split("\t", 1)
-        else:
-            surface, replacement = ln, ""
-        pairs.append((surface, replacement))
-    return pairs
-
-
-@lru_cache(maxsize=None)
 def table(name: str) -> MappingTable:
-    """Load one named mapping table (e.g. "char_map", "currencies")."""
-    return MappingTable(entries=tuple(_parse_tsv(f"{name}.tsv")))
-
-
-@lru_cache(maxsize=None)
-def emoji_ranges() -> tuple[tuple[int, int], ...]:
-    ranges = []
-    for ln in _read_lines("emoji_ranges.txt"):
-        if not ln or ln.startswith("#"):
-            continue
-        lo, hi = ln.split("-")
-        ranges.append((int(lo, 16), int(hi, 16)))
-    return tuple(ranges)
-
-
-@lru_cache(maxsize=None)
-def date_templates() -> tuple[str, ...]:
-    lines = [
-        ln for ln in _read_lines("templates/date.txt")
-        if ln and not ln.startswith("#")
-    ]
-    return tuple(lines)
-
-
-@lru_cache(maxsize=None)
-def lexicon_entries() -> dict[str, tuple[str, ...]]:
-    """Verb lexicon file grouped by entry kind; order preserved."""
-    groups: dict[str, list[str]] = {}
-    for ln in _read_lines("verb_lexicon.tsv"):
-        if not ln or ln.startswith("#"):
-            continue
-        kind, _, value = ln.partition("\t")
-        groups.setdefault(kind, []).append(value)
-    return {k: tuple(v) for k, v in groups.items()}
+    """Read the bundled table ``<name>.tsv``; a line without a tab maps its
+    surface to the empty string."""
+    pairs = (ln.partition("\t") for ln in rows(f"{name}.tsv"))
+    return MappingTable(entries=tuple((s, r) for s, _, r in pairs))
 
 
 def fixture_path(name: str):

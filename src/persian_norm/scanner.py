@@ -14,6 +14,13 @@ from enum import Enum
 
 from .resources import table
 
+# the spoken-form tables of the classes found by table lookup; ``verbalize``
+# reads the same tables
+CURRENCIES = table("currencies")
+SYMBOLS = table("symbols")
+MATH_SYMBOLS = table("math_symbols")
+ABBREV_FA = table("abbrev_fa")
+
 PERSIAN_DIGITS = "۰۱۲۳۴۵۶۷۸۹"
 _TO_ASCII = str.maketrans(PERSIAN_DIGITS + "٠١٢٣٤٥٦٧٨٩", "0123456789" * 2)
 
@@ -83,13 +90,22 @@ def _is_gregorian_leap(year: int) -> bool:
     return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
 
 
+def _is_solar_hijri_leap(year: int) -> bool:
+    """The 33-year arithmetic rule (Borkowski 1996, *Earth, Moon, and
+    Planets* 74): 8 leap years in every 33.  It agrees with the astronomical
+    calendar, whose year starts at the vernal equinox reckoned at Tehran,
+    for the years 1178-1634 AP (1799-2256 CE); outside them it is applied
+    as is."""
+    return (25 * year + 11) % 33 < 8
+
+
 def _month_length(calendar: Calendar, year: int, month: int) -> int:
     if calendar is Calendar.SOLAR_HIJRI:
         if month <= 6:
             return 31
         if month <= 11:
             return 30
-        return 30  # month 12 has 29 or 30 days; accept the longer bound
+        return 30 if _is_solar_hijri_leap(year) else 29
     if calendar is Calendar.GREGORIAN:
         lengths = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
         if month == 2 and _is_gregorian_leap(year):
@@ -335,7 +351,7 @@ def _fraction(m, text):
 # is its file order.  Each symbol occurrence also gives a bare-symbol
 # candidate from the table's own pattern: the reading left when a
 # higher-priority class (e.g. DECIMAL) claims the amount
-_CURRENCY_SYMBOL_PAT = table("currencies")._pattern
+_CURRENCY_SYMBOL_PAT = CURRENCIES.pattern
 _AMOUNT = rf"{D}+(?:\.{D}+)?"
 _CURRENCY_PAT = re.compile(
     rf"(?P<pre>{_CURRENCY_SYMBOL_PAT.pattern})\s?(?P<preamt>{_AMOUNT})"
@@ -360,7 +376,7 @@ def _bare_currency(m, text):
 
 _FA = r"؀-ۿ"
 _ABBREV_FA_PAT = re.compile(
-    rf"(?<![{_FA}\w])(?:{table('abbrev_fa')._pattern.pattern})(?![{_FA}\w])"
+    rf"(?<![{_FA}\w])(?:{ABBREV_FA.pattern.pattern})(?![{_FA}\w])"
 )
 
 _ABBREV_EN_PAT = re.compile(
@@ -389,8 +405,8 @@ _DETECTORS = [
     (_ABBREV_EN_PAT, _whole_match(SemioticClass.ABBREV_EN), False),
     (_ABBREV_FA_PAT, _whole_match(SemioticClass.ABBREV_FA), False),
     (_FRACTION_PAT, _fraction, True),
-    (table("symbols")._pattern, _whole_match(SemioticClass.SYMBOL), False),
-    (table("math_symbols")._pattern, _whole_match(SemioticClass.MATH_SYMBOL), False),
+    (SYMBOLS.pattern, _whole_match(SemioticClass.SYMBOL), False),
+    (MATH_SYMBOLS.pattern, _whole_match(SemioticClass.MATH_SYMBOL), False),
 ]
 
 _ANY_DIGIT = re.compile(D)

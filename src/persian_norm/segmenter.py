@@ -11,10 +11,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .numwords import ZWNJ
-from .resources import lexicon_entries
+from .resources import rows
 from .scanner import scan
 
 TERMINAL_MARKS = ".!?؟"
@@ -35,9 +34,12 @@ class VerbLexicon:
             raise ValueError("verb lexicon has no past stems")
 
 
-@lru_cache(maxsize=None)
-def default_lexicon() -> VerbLexicon:
-    groups = lexicon_entries()
+def _lexicon_from_rows(lines: list[str]) -> VerbLexicon:
+    """A lexicon from "kind<TAB>entry" lines; entries keep file order."""
+    groups: dict[str, list[str]] = {}
+    for ln in lines:
+        kind, _, value = ln.partition("\t")
+        groups.setdefault(kind, []).append(value)
     return VerbLexicon(
         past_stems=frozenset(groups.get("past", ())),
         present_stems=frozenset(groups.get("present", ())),
@@ -46,6 +48,9 @@ def default_lexicon() -> VerbLexicon:
         auxiliaries=frozenset(groups.get("aux", ())),
         full_forms=frozenset(groups.get("full", ())),
     )
+
+
+DEFAULT_LEXICON = _lexicon_from_rows(rows("verb_lexicon.tsv"))
 
 
 def _strip_prefix(token: str) -> tuple[str, bool]:
@@ -60,8 +65,12 @@ def _strip_prefix(token: str) -> tuple[str, bool]:
     return token, False
 
 
+# punctuation that may cling to a verb token
+_TOKEN_PUNCT = TERMINAL_MARKS + "،؛:,;()«»\"'"
+
+
 def _is_verb(token: str, lexicon: VerbLexicon) -> bool:
-    token = token.strip("".join(TERMINAL_MARKS) + "،؛:,;()«»\"'")
+    token = token.strip(_TOKEN_PUNCT)
     if not token:
         return False
     if token in lexicon.full_forms or token in lexicon.auxiliaries:
@@ -84,7 +93,7 @@ def _is_verb(token: str, lexicon: VerbLexicon) -> bool:
 
 def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None) -> list[int]:
     """Indices of verb-group ends; consecutive verb tokens form one group."""
-    lexicon = lexicon or default_lexicon()
+    lexicon = lexicon or DEFAULT_LEXICON
     flags = [_is_verb(t, lexicon) for t in tokens]
     positions = []
     for i, flag in enumerate(flags):
@@ -137,7 +146,7 @@ def _verb_split(segment: str, lexicon: VerbLexicon) -> list[str]:
 def split_sentences(text: str, lexicon: VerbLexicon | None = None,
                     verb_split_threshold: int = DEFAULT_VERB_SPLIT_THRESHOLD) -> list[str]:
     """Split a paragraph into sentences."""
-    lexicon = lexicon or default_lexicon()
+    lexicon = lexicon or DEFAULT_LEXICON
     protected = protect_non_terminal_dots(text)
     sentences = []
     for segment in _split_on_terminals(text, protected):

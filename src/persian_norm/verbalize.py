@@ -14,10 +14,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .numwords import ZWNJ, cardinal_words, decimal_words, grouped_digit_words, ordinal_words
-from .resources import date_templates, table
+from .resources import rows, table
 from .scanner import (
-    CalendarDate,
+    ABBREV_FA,
+    CURRENCIES,
+    MATH_SYMBOLS,
     MONTH_NAMES,
+    SYMBOLS,
+    CalendarDate,
     PhoneKind,
     SemioticClass,
     SemioticSpan,
@@ -32,6 +36,10 @@ class SelectionPolicy:
 
     index: int = 0
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.index < 0:
+            raise ValueError(f"option index must be 0 or more, not {self.index}")
 
     @classmethod
     def fixed(cls, index: int = 0) -> "SelectionPolicy":
@@ -121,6 +129,9 @@ def composition_at(n: int, index: int) -> tuple[int, ...]:
 
 # --- dates -----------------------------------------------------------------
 
+_DATE_TEMPLATES = tuple(rows("templates/date.txt"))
+
+
 def date_variants(d: CalendarDate) -> list[str]:
     months = MONTH_NAMES[d.calendar]
     fields = {
@@ -130,7 +141,7 @@ def date_variants(d: CalendarDate) -> list[str]:
         "month_number": cardinal_words(d.month),
         "year_cardinal": cardinal_words(d.year),
     }
-    return [tpl.format(**fields) for tpl in date_templates()]
+    return [tpl.format(**fields) for tpl in _DATE_TEMPLATES]
 
 
 # --- times -----------------------------------------------------------------
@@ -270,25 +281,17 @@ def grouped_id_readings(digits: str, cls: SemioticClass) -> GroupedReadings:
     return GroupedReadings(digits)
 
 
-def phone_variants(digits: str, kind: PhoneKind) -> list[str]:
-    return phone_readings(digits, kind).readings()
-
-
-def grouped_id_variants(digits: str, cls: SemioticClass) -> list[str]:
-    return grouped_id_readings(digits, cls).readings()
-
-
 # --- symbols, currencies, abbreviations ------------------------------------
 
 _CLASS_TABLES = {
-    SemioticClass.SYMBOL: "symbols",
-    SemioticClass.CURRENCY: "currencies",
-    SemioticClass.MATH_SYMBOL: "math_symbols",
+    SemioticClass.SYMBOL: SYMBOLS,
+    SemioticClass.CURRENCY: CURRENCIES,
+    SemioticClass.MATH_SYMBOL: MATH_SYMBOLS,
 }
 
 
 def verbalize_symbol(token: str, cls: SemioticClass = SemioticClass.SYMBOL) -> str:
-    tbl = table(_CLASS_TABLES[cls])
+    tbl = _CLASS_TABLES[cls]
     if token not in tbl:
         raise KeyError(f"{token!r} not in {cls.value} table")
     return tbl[token]
@@ -298,22 +301,18 @@ def verbalize_fraction(numerator: int, denominator: int) -> str:
     return f"{cardinal_words(numerator)} {ordinal_words(denominator)}"
 
 
-@lru_cache(maxsize=None)
-def _letter_names() -> dict[str, str]:
-    return table("letter_names").as_dict()
+_LETTER_NAMES = dict(table("letter_names").entries)
 
 
 def spell_latin_letters(token: str) -> str:
-    names = _letter_names()
-    letters = [names[ch.lower()] for ch in token if ch.isalpha()]
+    letters = [_LETTER_NAMES[ch.lower()] for ch in token if ch.isalpha()]
     return ZWNJ.join(letters)
 
 
 def expand_abbreviation(token: str) -> str:
     """Expand a Persian abbreviation or spell a Latin one letter by letter."""
-    fa = table("abbrev_fa")
-    if token in fa:
-        return fa[token]
+    if token in ABBREV_FA:
+        return ABBREV_FA[token]
     if re.fullmatch(r"[A-Za-z.]+", token) and any(c.isalpha() for c in token):
         return spell_latin_letters(token)
     return token
@@ -324,14 +323,14 @@ def expand_abbreviation(token: str) -> str:
 URL_PATH_LIMIT = 10
 
 
-@lru_cache(maxsize=None)
-def _url_words(style: str = "latin") -> dict[str, str]:
-    return table(f"url_words_{style}").as_dict()
+# plain dicts: ``verbalize_url_email`` looks up every character
+_URL_WORDS = {style: dict(table(f"url_words_{style}").entries)
+              for style in ("latin", "persian")}
 
 
 def verbalize_url_email(raw: str, style: str = "latin") -> str:
     """Spell out URL/email separators; long URL paths are dropped."""
-    words = _url_words(style)
+    words = _URL_WORDS[style]
     m = re.match(r"(?P<scheme>[a-zA-Z]+)://(?P<rest>.*)", raw)
     if m:
         host, _, path = m.group("rest").partition("/")

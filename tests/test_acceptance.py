@@ -30,7 +30,7 @@ from persian_norm import (
 )
 from persian_norm.numwords import MAX_VALUE, group_words_to_digits, grouped_digit_words
 from persian_norm.resources import fixture_path, table
-from persian_norm.verbalize import compositions, grouped_id_variants, phone_variants
+from persian_norm.verbalize import compositions, grouped_id_readings, phone_readings
 from persian_norm.scanner import SemioticClass
 
 N_PROPERTY = 10_000
@@ -165,9 +165,9 @@ def _random_text(rng):
 
 
 _SPOKEN_SYMBOLS = (
-    set(table("symbols").as_dict())
-    | set(table("currencies").as_dict())
-    | set(table("math_symbols").as_dict())
+    {s for s, _ in table("symbols").entries}
+    | {s for s, _ in table("currencies").entries}
+    | {s for s, _ in table("math_symbols").entries}
 )
 
 
@@ -191,7 +191,7 @@ def test_criterion_5_property_suites():
     for _ in range(N_PROPERTY):
         digits = "09" + "".join(str(rng.randrange(10)) for _ in range(9))
         for sizes, words in zip(compositions(7),
-                                phone_variants(digits, PhoneKind.MOBILE)):
+                                phone_readings(digits, PhoneKind.MOBILE).readings()):
             groups = words.split(" و ")  # not group-aligned; re-derive instead
             rebuilt = "0" + group_words_to_digits(
                 grouped_digit_words(digits[1:4], [3]), 3
@@ -207,7 +207,7 @@ def test_criterion_5_property_suites():
 
     for _ in range(N_PROPERTY):
         digits = "".join(str(rng.randrange(10)) for _ in range(10))
-        for words in grouped_id_variants(digits, SemioticClass.NATIONAL_ID):
+        for words in grouped_id_readings(digits, SemioticClass.NATIONAL_ID).readings():
             assert not any(ch.isdigit() for ch in words)
 
     for _ in range(N_PROPERTY):

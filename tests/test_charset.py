@@ -7,7 +7,7 @@ from persian_norm import (
     fold_punctuation,
     strip_emojis,
 )
-from persian_norm.charset import _emoji_pattern, is_emoji_char
+from persian_norm.charset import _EMOJI_PAT, is_emoji_char
 
 
 def test_arabic_yeh_folds_to_persian():
@@ -127,4 +127,4 @@ def test_whitespace_positions_preserved():
 
 
 def test_emoji_pattern_compiles():
-    assert _emoji_pattern().search("😀")
+    assert _EMOJI_PAT.search("😀")

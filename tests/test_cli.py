@@ -89,6 +89,11 @@ def test_normalize_template_index(capsys):
     assert capsys.readouterr().out != fixed0
 
 
+def test_negative_template_index_is_an_error(capsys):
+    assert run(["normalize", "--template-index", "-100"], stdin="ساعت 8:00\n") == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_normalize_enumerate(capsys):
     assert run(["normalize", "--enumerate"], stdin="ساعت 11:35\n") == 0
     lines = capsys.readouterr().out.splitlines()

@@ -151,6 +151,11 @@ def test_fixed_template_index():
     ]
 
 
+def test_negative_template_index_rejected():
+    with pytest.raises(ValueError):
+        SelectionPolicy.fixed(-1)
+
+
 def test_line_streaming_equivalence():
     lines = ["ساعت 8:00", "قیمت 25$ بود", "متن ساده"]
     joined_out = [normalize_speech(ln) for ln in lines]

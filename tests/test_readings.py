@@ -27,9 +27,7 @@ from persian_norm.verbalize import (
     composition_count,
     compositions,
     grouped_id_readings,
-    grouped_id_variants,
     phone_readings,
-    phone_variants,
     time_variants,
 )
 
@@ -107,20 +105,20 @@ def test_families_match_variant_lists():
     for _ in range(30):
         mobile = _mobile(rng)
         assert _all(phone_readings(mobile, PhoneKind.MOBILE)) == \
-            phone_variants(mobile, PhoneKind.MOBILE)
+            phone_readings(mobile, PhoneKind.MOBILE).readings()
         landline = "021" + _digits(rng, 8)
         assert _all(phone_readings(landline, PhoneKind.LANDLINE)) == \
-            phone_variants(landline, PhoneKind.LANDLINE)
+            phone_readings(landline, PhoneKind.LANDLINE).readings()
         short = _digits(rng, 8)
         assert _all(phone_readings(short, PhoneKind.LANDLINE)) == \
-            phone_variants(short, PhoneKind.LANDLINE)
+            phone_readings(short, PhoneKind.LANDLINE).readings()
         for digits, cls in ((_national_id(rng), SemioticClass.NATIONAL_ID),
                             (_card(rng), SemioticClass.CARD_NUMBER),
                             (_sheba(rng), SemioticClass.SHEBA),
                             (_digits(rng, rng.randrange(16, 26)),
                              SemioticClass.LONG_NUMBER)):
             assert _all(grouped_id_readings(digits, cls)) == \
-                grouped_id_variants(digits, cls)
+                grouped_id_readings(digits, cls).readings()
 
 
 def test_cards_with_zero_runs_match_variant_list():
@@ -129,14 +127,15 @@ def test_cards_with_zero_runs_match_variant_list():
     for _ in range(200):
         digits = "".join(rng.choice("0001") for _ in range(16))
         family = grouped_id_readings(digits, SemioticClass.CARD_NUMBER)
-        assert _all(family) == grouped_id_variants(digits, SemioticClass.CARD_NUMBER)
+        assert _all(family) == grouped_id_readings(
+            digits, SemioticClass.CARD_NUMBER).readings()
 
 
 def test_card_with_a_second_fixed_reading():
     family = grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
     assert len(family) == 36
-    assert _all(family) == grouped_id_variants(
-        "6050000010942098", SemioticClass.CARD_NUMBER)
+    assert _all(family) == grouped_id_readings(
+        "6050000010942098", SemioticClass.CARD_NUMBER).readings()
 
 
 def test_negative_index_counts_from_the_end():

@@ -285,6 +285,25 @@ def test_calendar_date_validation():
     CalendarDate(Calendar.SOLAR_HIJRI, 1400, 1, 31)
 
 
+def test_esfand_30_only_in_solar_hijri_leap_years():
+    with pytest.raises(ValueError):
+        CalendarDate(Calendar.SOLAR_HIJRI, 1400, 12, 30)
+    CalendarDate(Calendar.SOLAR_HIJRI, 1400, 12, 29)
+    for year in (1370, 1375, 1379, 1383, 1387, 1391, 1395, 1399, 1403, 1408):
+        CalendarDate(Calendar.SOLAR_HIJRI, year, 12, 30)
+
+
+@pytest.mark.parametrize("year", [1399, 1403])
+def test_scan_esfand_30_of_leap_year(year):
+    spans = scan(f"تاریخ {year}/12/30 بود")
+    assert [s.cls for s in spans] == [SemioticClass.DATE]
+    assert spans[0].data["date"] == CalendarDate(Calendar.SOLAR_HIJRI, year, 12, 30)
+
+
+def test_scan_esfand_30_of_common_year_is_no_date():
+    assert SemioticClass.DATE not in [s.cls for s in scan("تاریخ 1400/12/30 بود")]
+
+
 def test_rescan_span_in_isolation():
     text = "در 1400-07-25 ساعت 11:35 با 09397796915 تماس بگیرید"
     for span in scan(text):

@@ -1,9 +1,9 @@
 import pytest
 
 from persian_norm import (
+    DEFAULT_LEXICON,
     SemioticClass,
     VerbLexicon,
-    default_lexicon,
     detect_verb_positions,
     evaluate_segmentation,
     normalize_general,

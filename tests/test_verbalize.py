@@ -17,9 +17,7 @@ from persian_norm.verbalize import (
     compositions,
     date_variants,
     grouped_id_readings,
-    grouped_id_variants,
     phone_readings,
-    phone_variants,
     time_variants,
     verbalize_fraction,
 )
@@ -96,7 +94,7 @@ def test_time_rejects_out_of_range():
 
 
 def test_phone_mobile_partitions():
-    variants = phone_variants("09397796915", PhoneKind.MOBILE)
+    variants = phone_readings("09397796915", PhoneKind.MOBILE).readings()
     assert variants == [
         "صفر نهصد و سی و نه هفتصد و هفتاد و نه شصت و نه پانزده",
         "صفر نهصد و سی و نه هفتاد و هفت نهصد و شصت و نه پانزده",
@@ -106,7 +104,7 @@ def test_phone_mobile_partitions():
 
 def test_phone_prefix_always_identical():
     prefix = "صفر نهصد و سی و نه"
-    for v in phone_variants("09397796915", PhoneKind.MOBILE):
+    for v in phone_readings("09397796915", PhoneKind.MOBILE).readings():
         assert v.startswith(prefix)
 
 
@@ -118,12 +116,12 @@ def test_phone_seeded_determinism():
 
 
 def test_national_id_row_one():
-    variants = grouped_id_variants("0523924984", SemioticClass.NATIONAL_ID)
+    variants = grouped_id_readings("0523924984", SemioticClass.NATIONAL_ID).readings()
     assert "صفر پنج بیست و سه نود و دو چهل و نه هشتاد و چهار" in variants
 
 
 def test_national_id_row_two():
-    variants = grouped_id_variants("0523924984", SemioticClass.NATIONAL_ID)
+    variants = grouped_id_readings("0523924984", SemioticClass.NATIONAL_ID).readings()
     assert "صفر پنجاه و دو سی و نه دویست و چهل و نه هشتاد و چهار" in variants
 
 
@@ -151,7 +149,7 @@ def test_digit_conservation_phone():
     rng = random.Random(5)
     for _ in range(100):
         digits = "09" + "".join(str(rng.randrange(10)) for _ in range(9))
-        variants = phone_variants(digits, PhoneKind.MOBILE)
+        variants = phone_readings(digits, PhoneKind.MOBILE).readings()
         for sizes, words in zip(compositions(7), variants):
             expected = ["صفر", grouped_digit_words(digits[1:4], [3])]
             pos = 4
@@ -234,6 +232,6 @@ def test_policy_seeded_equal_seeds_equal_outputs():
 def test_outputs_contain_no_digits():
     d = CalendarDate(Calendar.SOLAR_HIJRI, 1400, 7, 25)
     outputs = date_variants(d) + time_variants(11, 35) + \
-        phone_variants("09397796915", PhoneKind.MOBILE)
+        phone_readings("09397796915", PhoneKind.MOBILE).readings()
     for out in outputs:
         assert not any(ch.isdigit() for ch in out)
