@@ -11,6 +11,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from string import ascii_letters
 
 from .resources import table
 
@@ -22,9 +23,11 @@ MATH_SYMBOLS = table("math_symbols")
 ABBREV_FA = table("abbrev_fa")
 
 PERSIAN_DIGITS = "۰۱۲۳۴۵۶۷۸۹"
-_TO_ASCII = str.maketrans(PERSIAN_DIGITS + "٠١٢٣٤٥٦٧٨٩", "0123456789" * 2)
+_ARABIC_INDIC_DIGITS = "٠١٢٣٤٥٦٧٨٩"
+_TO_ASCII = str.maketrans(PERSIAN_DIGITS + _ARABIC_INDIC_DIGITS, "0123456789" * 2)
 
 # any digit as it may appear in scanned text (ASCII, Persian or Arabic-Indic)
+_DIGITS = "0123456789" + PERSIAN_DIGITS + _ARABIC_INDIC_DIGITS
 D = "[0-9۰-۹٠-٩]"
 
 
@@ -381,7 +384,7 @@ _ABBREV_FA_PAT = re.compile(
 
 _ABBREV_EN_PAT = re.compile(
     r"\b[A-Za-z]{1,3}(?:\.[A-Za-z]{1,3})+\.?"   # dotted: Ph.D, U.S.A.
-    r"|\b[A-Z]{2,6}\b(?!\.)"                    # all-caps acronym: NASA
+    r"|\b[A-Z]{2,6}\b(?!\.[A-Za-z])"           # all-caps acronym: NASA
 )
 
 
@@ -389,44 +392,76 @@ def _whole_match(cls):
     return lambda m, text: (cls, m.start(), m.end(), {})
 
 
-# (pattern, candidate, digits_only): a row flagged digits_only only ever
-# matches digit-bearing spans and is skipped outright when the text has no
-# digits
+def _needs(*chars: str) -> tuple[frozenset, ...]:
+    return tuple(frozenset(c) for c in chars)
+
+
+def _table_needs(tbl, chars: str | None = None) -> frozenset:
+    """The characters one of which every match of a table's row holds:
+    ``chars`` when given, else the first character of each surface.  Raises
+    ValueError if a surface holds none of them."""
+    needs = frozenset(chars if chars is not None else (s[0] for s, _ in tbl.entries))
+    for surface, _ in tbl.entries:
+        if needs.isdisjoint(surface):
+            raise ValueError(
+                f"table surface {surface!r} holds none of {''.join(sorted(needs))!r}"
+            )
+    return needs
+
+
+_CURRENCY_CHARS = _table_needs(CURRENCIES)
+
+# (pattern, candidate, needs): every match of the pattern holds at least one
+# character of each set in ``needs``, so ``scan`` skips the row when the
+# text lacks every character of one of them
 _DETECTORS = [
-    (_URL_PAT, _url, False),
-    (_EMAIL_PAT, _whole_match(SemioticClass.EMAIL), False),
-    (_SHEBA_PAT, _sheba, True),
-    (_DATE_PAT, _date, True),
-    (_TIME_PAT, _time, True),
-    (_DIGIT_RUN_PAT, _digit_run, True),
-    (_DECIMAL_PAT, _decimal, True),
-    (_CURRENCY_PAT, _currency, True),
-    (_CURRENCY_SYMBOL_PAT, _bare_currency, False),
-    (_ABBREV_EN_PAT, _whole_match(SemioticClass.ABBREV_EN), False),
-    (_ABBREV_FA_PAT, _whole_match(SemioticClass.ABBREV_FA), False),
-    (_FRACTION_PAT, _fraction, True),
-    (SYMBOLS.pattern, _whole_match(SemioticClass.SYMBOL), False),
-    (MATH_SYMBOLS.pattern, _whole_match(SemioticClass.MATH_SYMBOL), False),
+    (_URL_PAT, _url, _needs(".:")),
+    (_EMAIL_PAT, _whole_match(SemioticClass.EMAIL), _needs("@")),
+    (_SHEBA_PAT, _sheba, _needs("I", _DIGITS)),
+    (_DATE_PAT, _date, _needs("/.-", _DIGITS)),
+    (_TIME_PAT, _time, _needs(":", _DIGITS)),
+    (_DIGIT_RUN_PAT, _digit_run, _needs(_DIGITS)),
+    (_DECIMAL_PAT, _decimal, _needs(".", _DIGITS)),
+    (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, _DIGITS)),
+    (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS)),
+    (_ABBREV_EN_PAT, _whole_match(SemioticClass.ABBREV_EN),
+     _needs(ascii_letters)),
+    (_ABBREV_FA_PAT, _whole_match(SemioticClass.ABBREV_FA),
+     _needs(_table_needs(ABBREV_FA, ".("))),
+    (_FRACTION_PAT, _fraction, _needs("/", _DIGITS)),
+    (SYMBOLS.pattern, _whole_match(SemioticClass.SYMBOL),
+     _needs(_table_needs(SYMBOLS))),
+    (MATH_SYMBOLS.pattern, _whole_match(SemioticClass.MATH_SYMBOL),
+     _needs(_table_needs(MATH_SYMBOLS))),
 ]
 
-_ANY_DIGIT = re.compile(D)
+# one character class over every row's characters: a single pass finds
+# which of them a text holds
+_TRIGGER = re.compile("[" + re.escape("".join(sorted(
+    frozenset().union(*(chars for _, _, needs in _DETECTORS for chars in needs))
+))) + "]")
 
 
 def scan(text: str) -> list[SemioticSpan]:
     """Return all maximal non-overlapping semiotic spans, sorted by start.
 
-    Overlaps are resolved by class priority (the order of ``SemioticClass``),
-    then by match length, then by position.
+    Only the ``_DETECTORS`` rows whose ``needs`` the text meets are run: a
+    row is skipped when the text holds no character of one of its sets, as
+    none of its matches could then occur.  Overlaps are resolved by class
+    priority (the order of ``SemioticClass``), then by match length, then by
+    position.
     """
-    has_digit = _ANY_DIGIT.search(text) is not None
+    present = set(_TRIGGER.findall(text))
     candidates = []
-    for pattern, candidate, digits_only in _DETECTORS:
-        if digits_only and not has_digit:
-            continue
-        for m in pattern.finditer(text):
-            c = candidate(m, text)
-            if c is not None:
-                candidates.append(c)
+    for pattern, candidate, needs in _DETECTORS:
+        for chars in needs:  # run the row only if the text meets every set
+            if present.isdisjoint(chars):
+                break
+        else:
+            for m in pattern.finditer(text):
+                c = candidate(m, text)
+                if c is not None:
+                    candidates.append(c)
     candidates.sort(
         key=lambda c: (_PRIORITY_INDEX[c[0]], -(c[2] - c[1]), c[1])
     )

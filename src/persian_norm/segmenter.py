@@ -104,7 +104,10 @@ def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None)
 
 def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
     """Intervals covering every dot that must not split a sentence, sorted
-    and disjoint: those of the spans ``scan`` finds holding a dot."""
+    and disjoint: those of the spans ``scan`` finds holding a dot.  A text
+    without a dot has none, and is not scanned."""
+    if "." not in text:
+        return []
     return [(span.start, span.end) for span in scan(text) if "." in span.raw]
 
 

@@ -250,8 +250,9 @@ def test_criterion_6_checksum_perturbations():
     print("criterion 6 (checksum perturbations): PASS")
 
 
-def test_criterion_7_throughput():
-    # prose-like density: roughly one semiotic token per ten words
+def criterion_7_corpus() -> tuple[list[str], int]:
+    """The criterion-7 lines and their size in bytes: prose-like density,
+    roughly one semiotic token per ten words."""
     rng = random.Random(3)
     lines = []
     size = 0
@@ -263,6 +264,11 @@ def test_criterion_7_throughput():
         line = " ".join(tokens)
         lines.append(line)
         size += len(line.encode("utf-8")) + 1
+    return lines, size
+
+
+def test_criterion_7_throughput():
+    lines, size = criterion_7_corpus()
     start = time.perf_counter()
     for line in lines:
         normalize_speech(line)

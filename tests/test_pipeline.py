@@ -173,3 +173,11 @@ def test_pass_names_stable():
         "fold_characters", "fold_digits", "fold_punctuation",
         "decode_markup_entities", "strip_emojis",
     )
+
+
+@pytest.mark.parametrize("text, spoken", [
+    ("خبر را گفت BBC.", "خبر را گفت بی\u200cبی\u200cسی."),
+    ("سازمان NASA. بعد", "سازمان ان\u200cای\u200cاس\u200cای. بعد"),
+])
+def test_acronym_read_before_full_stop(text, spoken):
+    assert normalize_speech(text) == spoken

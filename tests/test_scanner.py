@@ -1,3 +1,7 @@
+import random
+import re
+import string
+
 import pytest
 
 from persian_norm import (
@@ -7,11 +11,16 @@ from persian_norm import (
     SemioticClass,
     classify_phone,
     infer_calendar,
+    normalize_general,
     scan,
     validate_card,
     validate_national_id,
     validate_sheba,
 )
+from persian_norm.resources import MappingTable
+from persian_norm.scanner import D, _DETECTORS, _DIGITS, _table_needs
+from test_acceptance import criterion_7_corpus
+from test_segmenter import _MIXED_LINES
 
 
 def classes(text):
@@ -276,6 +285,12 @@ def test_abbrev_en_span():
     )
 
 
+def test_acronym_before_full_stop():
+    assert classes("خبر را گفت BBC.") == [(SemioticClass.ABBREV_EN, "BBC")]
+    assert classes("سازمان NASA. بعد") == [(SemioticClass.ABBREV_EN, "NASA")]
+    assert classes("سایت NASA.gov است") == [(SemioticClass.URL, "NASA.gov")]
+
+
 def test_calendar_date_validation():
     with pytest.raises(ValueError):
         CalendarDate(Calendar.SOLAR_HIJRI, 1400, 7, 31)
@@ -309,3 +324,48 @@ def test_rescan_span_in_isolation():
     for span in scan(text):
         again = scan(span.raw)
         assert any(s.cls is span.cls for s in again)
+
+
+_TRIGGER_CHARS = sorted(
+    frozenset().union(*(chars for _, _, needs in _DETECTORS for chars in needs))
+)
+# single characters, plus the few multi-character pieces some rows need
+_FUZZ_PIECES = (
+    list("ابپتچخدرزسشصطعفقکگلمنوهیآ")
+    + list("0123456789۰۱۲۳۴۵۶۷۸۹٠١٢٣٤٥٦٧٨٩" * 2)
+    + list(string.ascii_letters) + list(string.ascii_uppercase)
+    + [" "] * 10 + _TRIGGER_CHARS
+    + ["http://", "ftp://", "www.", ".com", ".ir", "(ره)", "ه.ش", "IR", "-07-"]
+)
+
+
+def _fuzz_lines(n, seed=0):
+    rng = random.Random(seed)
+    return ["".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randrange(1, 30)))
+            for _ in range(n)]
+
+
+def test_every_match_holds_its_row_characters():
+    # scan skips a row when the text lacks one of its sets; that is exact
+    # only if every match of the row holds a character of each set
+    texts = _MIXED_LINES + criterion_7_corpus()[0]
+    texts += [normalize_general(t) for t in texts]
+    texts += _fuzz_lines(5000)
+    for text in texts:
+        for pattern, _, needs in _DETECTORS:
+            for m in pattern.finditer(text):
+                for chars in needs:
+                    assert not chars.isdisjoint(m.group(0)), \
+                        (pattern.pattern[:40], m.group(0), chars)
+
+
+def test_digit_set_is_the_digit_class():
+    bmp = (chr(c) for c in range(0x10000))
+    assert [c for c in bmp if re.fullmatch(D, c)] == sorted(_DIGITS)
+
+
+def test_table_surface_without_row_characters_raises():
+    tbl = MappingTable(entries=(("ر.ک", "رجوع کنید"), ("رک", "رک")))
+    with pytest.raises(ValueError, match="رک"):
+        _table_needs(tbl, ".(")
+    assert _table_needs(tbl) == {"ر"}

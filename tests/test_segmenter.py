@@ -10,6 +10,7 @@ from persian_norm import (
     scan,
     split_sentences,
 )
+from persian_norm import segmenter
 from persian_norm.cli import evaluate_gold_fixture, read_gold_fixture
 from persian_norm.resources import fixture_path
 from persian_norm.segmenter import protect_non_terminal_dots
@@ -100,6 +101,24 @@ def test_protected_intervals_cover_dots():
     dot_positions = [i for i, c in enumerate(text) if c == "."]
     for pos in dot_positions:
         assert any(s <= pos < e for s, e in intervals)
+
+
+def test_dotless_text_is_not_scanned(monkeypatch):
+    def no_scan(text):
+        raise AssertionError("scanned a text without a dot")
+
+    monkeypatch.setattr(segmenter, "scan", no_scan)
+    assert split_sentences("ساعت 10:30 با 09121234567 تماس بگیرید؟ بله") == [
+        "ساعت 10:30 با 09121234567 تماس بگیرید؟", "بله",
+    ]
+
+
+def test_phone_beats_decimal_at_a_dot():
+    # every row is resolved on a dotted text: the phone number claims the
+    # digits, so the dot after it is no decimal point and ends a sentence
+    assert split_sentences("شماره 09121234567.5 است.") == [
+        "شماره 09121234567.", "5 است.",
+    ]
 
 
 def test_character_conservation():
