@@ -23,7 +23,7 @@ PASS_NAMES = tuple(name for name, _ in GENERAL_PASSES)
 
 ENUMERATION_CAP = 10**4
 
-_MULTI_SPACE = re.compile(r" +")
+_MULTI_SPACE = re.compile(r"  +")
 _SPACE_BEFORE_PUNCT = re.compile(r" (?=[.,،؛;:!؟?»)\]])")
 
 

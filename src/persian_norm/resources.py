@@ -1,14 +1,17 @@
 """Reading of the bundled mapping tables and rule files.
 
 All tables are UTF-8 tab-separated resource files with "#" comment lines.
-Each is read once, when the module that uses it is imported; the resulting
-structures are immutable and safe to share between threads.
+Each is read once, when the module that uses it is imported; a table's
+regex is compiled the first time its ``pattern`` is read, so a table used
+only for lookups never compiles one.  The resulting structures are
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources as importlib_resources
 
 
@@ -27,7 +30,6 @@ class MappingTable:
     """Ordered surface -> replacement table with longest-match-first lookup."""
 
     entries: tuple[tuple[str, str], ...]
-    pattern: re.Pattern = field(init=False, repr=False, compare=False)
     _lookup: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -36,10 +38,13 @@ class MappingTable:
             raise ValueError("empty surface string in mapping table")
         if len(set(surfaces)) != len(surfaces):
             raise ValueError("duplicate surface string in mapping table")
-        ordered = sorted(surfaces, key=len, reverse=True)
-        pattern = re.compile("|".join(re.escape(s) for s in ordered))
-        object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "_lookup", dict(self.entries))
+
+    @cached_property
+    def pattern(self) -> re.Pattern:
+        """Every surface, longest first, as one alternation."""
+        ordered = sorted(self._lookup, key=len, reverse=True)
+        return re.compile("|".join(re.escape(s) for s in ordered))
 
     def apply(self, text: str) -> str:
         lookup = self._lookup

@@ -22,13 +22,11 @@ SYMBOLS = table("symbols")
 MATH_SYMBOLS = table("math_symbols")
 ABBREV_FA = table("abbrev_fa")
 
-PERSIAN_DIGITS = "۰۱۲۳۴۵۶۷۸۹"
-_ARABIC_INDIC_DIGITS = "٠١٢٣٤٥٦٧٨٩"
-_TO_ASCII = str.maketrans(PERSIAN_DIGITS + _ARABIC_INDIC_DIGITS, "0123456789" * 2)
-
-# any digit as it may appear in scanned text (ASCII, Persian or Arabic-Indic)
-_DIGITS = "0123456789" + PERSIAN_DIGITS + _ARABIC_INDIC_DIGITS
-D = "[0-9۰-۹٠-٩]"
+# any digit as it may appear in scanned text (ASCII, Persian or Arabic-Indic);
+# ``int`` reads all three, so only a digit string kept as a string is converted
+_DIGITS = "0123456789۰۱۲۳۴۵۶۷۸۹٠١٢٣٤٥٦٧٨٩"
+_TO_ASCII = str.maketrans(_DIGITS, "0123456789" * 3)
+D = f"[{_DIGITS}]"
 
 
 def ascii_digits(s: str) -> str:
@@ -241,20 +239,17 @@ _DATE_PAT = re.compile(
 
 def _date(m, text):
     a, _, b, c = m.groups()
-    a_i, b_i, c_i = int(ascii_digits(a)), int(ascii_digits(b)), int(ascii_digits(c))
+    a_i, b_i, c_i = int(a), int(b), int(c)
     if len(a) >= 3 or a_i > 31:
         y, mo, d = a_i, b_i, c_i
     elif len(c) >= 3 or c_i > 31:
         d, mo, y = a_i, b_i, c_i
     else:
         return None
-    if not 1 <= mo <= 12:
-        return None
-    window = text[max(0, m.start() - 20):min(len(text), m.end() + 20)]
+    window = text[max(0, m.start() - 20):m.end() + 20]
     lunar = any(name in window for name in LUNAR_MONTHS)
-    cal = infer_calendar(y, lunar_context=lunar)
     try:
-        date = CalendarDate(cal, y, mo, d)
+        date = CalendarDate(infer_calendar(y, lunar_context=lunar), y, mo, d)
     except ValueError:
         return None
     return SemioticClass.DATE, m.start(), m.end(), {"date": date}
@@ -264,9 +259,9 @@ _TIME_PAT = re.compile(rf"(?<!{D})({D}{{1,2}}):({D}{{2}})(?::({D}{{2}}))?(?!{D})
 
 
 def _time(m, text):
-    h = int(ascii_digits(m.group(1)))
-    mi = int(ascii_digits(m.group(2)))
-    s = int(ascii_digits(m.group(3))) if m.group(3) else None
+    h = int(m.group(1))
+    mi = int(m.group(2))
+    s = int(m.group(3)) if m.group(3) else None
     if h > 23 or mi > 59 or (s is not None and s > 59):
         return None
     return (SemioticClass.TIME, m.start(), m.end(),
@@ -311,7 +306,7 @@ _DIGIT_RUN_PAT = re.compile(rf"{D}+")
 
 def _digit_run(m, text):
     """Phone / card / national ID / long / plain classification of a digit run."""
-    run = ascii_digits(m.group(0))
+    run = m.group(0)
     left = text[max(0, m.start() - 20):m.start()]
     right = text[m.end():m.end() + 20]
     kind = classify_phone(run, left, right)
@@ -342,8 +337,8 @@ _FRACTION_PAT = re.compile(rf"(?<!{D})({D}{{1,2}})/({D}{{1,2}})(?!{D})")
 
 
 def _fraction(m, text):
-    num = int(ascii_digits(m.group(1)))
-    den = int(ascii_digits(m.group(2)))
+    num = int(m.group(1))
+    den = int(m.group(2))
     if not 0 < num < den <= 20:
         return None
     return (SemioticClass.MATH_SYMBOL, m.start(), m.end(),

@@ -49,21 +49,18 @@ class SelectionPolicy:
     def seeded(cls, seed: int) -> "SelectionPolicy":
         return cls(seed=seed)
 
-    def pick(self, count: int, rng: random.Random | None = None) -> int:
-        """Index of the option this policy takes among ``count`` options.
-
-        SEEDED draws ``rng.randrange(count)``, the same draw as
-        ``rng.choice`` on a list of ``count`` options.
+    def choose(self, options: Sequence[str], rng: random.Random | None = None) -> str:
+        """The option this policy takes: FIXED takes ``index``, or option 0
+        when there are fewer options; SEEDED draws ``rng.randrange(count)``,
+        the same draw as ``rng.choice`` on a list of ``count`` options.
         """
+        count = option_count(options)
         if count < 1:
             raise ValueError("no options to choose from")
         if self.seed is None:
-            return self.index if self.index < count else 0
+            return options[self.index if self.index < count else 0]
         rng = rng if rng is not None else random.Random(self.seed)
-        return rng.randrange(count)
-
-    def choose(self, options: Sequence[str], rng: random.Random | None = None) -> str:
-        return options[self.pick(option_count(options), rng)]
+        return options[rng.randrange(count)]
 
 
 def option_count(options: Sequence[str]) -> int:
@@ -153,7 +150,7 @@ def time_variants(hour: int, minute: int, second: int | None = None) -> list[str
         raise ValueError(f"invalid second {second}")
     h = cardinal_words(hour)
     if minute == 0 and second is None:
-        base = [h, h]  # the zero is never read
+        base = [h]  # the zero is never read
     else:
         m = cardinal_words(minute)
         with_units = f"{h} و {m} دقیقه"
@@ -163,13 +160,7 @@ def time_variants(hour: int, minute: int, second: int | None = None) -> list[str
             with_units += f" و {s} ثانیه"
             bare += f" و {s}"
         base = [with_units, bare]
-    variants = base + [f"ساعت {v}" for v in base]
-    seen, out = set(), []
-    for v in variants:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return base + [f"ساعت {v}" for v in base]
 
 
 # --- digit groups: phone numbers, IDs, cards, Sheba ------------------------
@@ -291,10 +282,7 @@ _CLASS_TABLES = {
 
 
 def verbalize_symbol(token: str, cls: SemioticClass = SemioticClass.SYMBOL) -> str:
-    tbl = _CLASS_TABLES[cls]
-    if token not in tbl:
-        raise KeyError(f"{token!r} not in {cls.value} table")
-    return tbl[token]
+    return _CLASS_TABLES[cls][token]
 
 
 def verbalize_fraction(numerator: int, denominator: int) -> str:
@@ -397,7 +385,7 @@ READINGS: dict[SemioticClass, Callable[[SemioticSpan], Sequence[str]]] = {
     SemioticClass.DECIMAL: lambda span: [
         decimal_words(span.data["integer"], span.data["fraction"])],
     SemioticClass.PLAIN_NUMBER: lambda span: [
-        cardinal_words(int(ascii_digits(span.raw)))],
+        cardinal_words(int(span.raw))],
 }
 
 

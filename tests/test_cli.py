@@ -162,6 +162,11 @@ def test_scan_plain_text_silent(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_normalize_year_zero_date(capsys):
+    assert run(["normalize"], stdin="تاریخ 0000/01/01 بود\n") == 0
+    assert capsys.readouterr().out
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 1
     assert run([]) == 1

@@ -82,11 +82,16 @@ def test_speech_no_digits_remain():
         "تماس: 09397796915",
         "تاریخ 1400-07-25",
         "کد ملی 0523924984 است",
+        "تاریخ 0000/01/01 بود",  # year 0 is no date
     ]
     for text in samples:
         out = normalize_speech(text)
         assert not any(ch.isdigit() for ch in out), out
         assert not any("۰" <= ch <= "۹" for ch in out), out
+
+
+def test_enumerate_year_zero():
+    assert enumerate_verbalizations("31/12/000")
 
 
 def test_speech_punctuation_spacing():

@@ -2,7 +2,10 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
+
+import pytest
 
 import persian_norm
 from persian_norm.resources import MappingTable, rows, table
@@ -74,3 +77,11 @@ def test_longest_surface_wins():
     tbl = MappingTable(entries=(("a", "x"), ("ab", "")))
     assert tbl.pattern.pattern == "ab|a"
     assert tbl.apply("aab") == "x"
+
+
+def test_pattern_compiles_when_first_read():
+    tbl = MappingTable(entries=(("a", "x"), ("ab", "")))
+    assert "pattern" not in tbl.__dict__
+    assert tbl.pattern is tbl.pattern
+    with pytest.raises(FrozenInstanceError):
+        tbl.pattern = None

@@ -72,6 +72,11 @@ def test_scan_lunar_context():
     assert dates and dates[0].data["date"].calendar is Calendar.LUNAR_HIJRI
 
 
+@pytest.mark.parametrize("text", ["تاریخ 0000/01/01 بود", "000/5/12"])
+def test_year_zero_is_no_date(text):
+    assert SemioticClass.DATE not in [s.cls for s in scan(text)]
+
+
 def test_arabic_indic_digits():
     spans = scan("١٤٠٠/١/٢ ساعت ١٢:٣٠ با ٠٩٣٩٧٧٩٦٩١٥")
     assert [(s.cls, s.raw) for s in spans] == [

@@ -121,6 +121,10 @@ def test_phone_beats_decimal_at_a_dot():
     ]
 
 
+def test_year_zero_dotted_date_splits():
+    assert split_sentences("تاریخ 0000.01.01 بود. تمام")
+
+
 def test_character_conservation():
     texts = [
         "هوا سرد بود. بچه‌ها ماندند! آیا رفتند؟",

@@ -80,6 +80,7 @@ def test_time_table_rows():
 def test_time_zero_minute_elided():
     assert SelectionPolicy.fixed().choose(time_variants(8, 0)) == "هشت"
     assert "هشت صفر" not in " ".join(time_variants(8, 0))
+    assert time_variants(8, 0) == ["هشت", "ساعت هشت"]
 
 
 def test_time_with_seconds():
