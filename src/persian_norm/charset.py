@@ -11,28 +11,31 @@ from __future__ import annotations
 import html
 import re
 
-from .resources import MappingTable, rows, table
+from .resources import alternation, rows, table
 
-# ligatures first so multi-char surfaces win over their constituents
-_CHARS = MappingTable(
-    entries=table("ligature_map").entries + table("char_map").entries)
+# each table's alternation tries its longest surfaces first, so a ligature
+# wins over the letters it is spelled with
+_CHARS = table("ligature_map", "char_map")
+_CHARS_PAT = alternation(_CHARS)
 _DIGITS = table("digit_map")
+_DIGITS_PAT = alternation(_DIGITS)
 _PUNCT = table("punct_map")
+_PUNCT_PAT = alternation(_PUNCT)
 
 
 def fold_characters(text: str) -> str:
     """Fold Arabic letter variants, decorated Latin letters and ligatures."""
-    return _CHARS.apply(text)
+    return _CHARS_PAT.sub(lambda m: _CHARS[m.group(0)], text)
 
 
 def fold_digits(text: str) -> str:
     """Replace every supported digit variant with Persian digits."""
-    return _DIGITS.apply(text)
+    return _DIGITS_PAT.sub(lambda m: _DIGITS[m.group(0)], text)
 
 
 def fold_punctuation(text: str) -> str:
     """Canonicalize punctuation variants and expand vulgar fractions."""
-    return _PUNCT.apply(text)
+    return _PUNCT_PAT.sub(lambda m: _PUNCT[m.group(0)], text)
 
 
 def decode_markup_entities(text: str) -> str:

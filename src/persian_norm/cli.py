@@ -25,6 +25,10 @@ from .segmenter import evaluate_segmentation, split_sentences
 from .verbalize import SelectionPolicy
 
 
+_MODES = ("general", "speech")
+_CONFIG_KEYS = ("mode", "seed", "template_index", "disable")
+
+
 class _UsageError(Exception):
     pass
 
@@ -39,7 +43,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     norm = sub.add_parser("normalize", help="run a normalization pipeline")
-    norm.add_argument("--mode", choices=["general", "speech"], default=None)
+    norm.add_argument("--mode", choices=_MODES, default=None)
     norm.add_argument("--seed", type=int, default=None,
                       help="seeded-random template selection")
     norm.add_argument("--template-index", type=int, default=None,
@@ -84,6 +88,8 @@ def _lines(fh):
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    """The ``key = value`` lines of a config file; raises ValueError on an
+    unknown key or mode, as the parser rejects an unknown flag or mode."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for ln in fh:
@@ -91,7 +97,14 @@ def _load_config_file(path: str) -> dict[str, str]:
             if not ln or ln.startswith("#") or "=" not in ln:
                 continue
             key, _, value = ln.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}: unknown config key {key!r} "
+                                 f"(choose from {', '.join(_CONFIG_KEYS)})")
+            values[key] = value.strip()
+    if values.get("mode", "speech") not in _MODES:
+        raise ValueError(f"{path}: invalid mode {values['mode']!r} "
+                         f"(choose from {', '.join(_MODES)})")
     return values
 
 

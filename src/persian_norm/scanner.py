@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from string import ascii_letters
 
-from .resources import table
+from .resources import alternation, table
 
 # the spoken-form tables of the classes found by table lookup; ``verbalize``
 # reads the same tables
@@ -159,8 +159,8 @@ def infer_calendar(year: int, default: Calendar = Calendar.SOLAR_HIJRI,
     return default
 
 
-_CUE_WORDS = frozenset(s for s, _ in table("phone_cues").entries)
-_AREA_CODES = frozenset(s for s, _ in table("area_codes").entries)
+_CUE_WORDS = frozenset(table("phone_cues"))
+_AREA_CODES = frozenset(table("area_codes"))
 
 
 def classify_phone(digits: str, left_context: str = "",
@@ -345,11 +345,11 @@ def _fraction(m, text):
             {"numerator": num, "denominator": den})
 
 
-# every currency symbol is one character, so the table's longest-first order
-# is its file order.  Each symbol occurrence also gives a bare-symbol
-# candidate from the table's own pattern: the reading left when a
-# higher-priority class (e.g. DECIMAL) claims the amount
-_CURRENCY_SYMBOL_PAT = CURRENCIES.pattern
+# every currency symbol is one character, so the longest-first order is
+# the table's file order.  Each symbol occurrence also gives a bare-symbol
+# candidate: the reading left when a higher-priority class (e.g. DECIMAL)
+# claims the amount
+_CURRENCY_SYMBOL_PAT = alternation(CURRENCIES)
 _AMOUNT = rf"{D}+(?:\.{D}+)?"
 _CURRENCY_PAT = re.compile(
     rf"(?P<pre>{_CURRENCY_SYMBOL_PAT.pattern})\s?(?P<preamt>{_AMOUNT})"
@@ -374,7 +374,7 @@ def _bare_currency(m, text):
 
 _FA = r"؀-ۿ"
 _ABBREV_FA_PAT = re.compile(
-    rf"(?<![{_FA}\w])(?:{ABBREV_FA.pattern.pattern})(?![{_FA}\w])"
+    rf"(?<![{_FA}\w])(?:{alternation(ABBREV_FA).pattern})(?![{_FA}\w])"
 )
 
 _ABBREV_EN_PAT = re.compile(
@@ -395,8 +395,8 @@ def _table_needs(tbl, chars: str | None = None) -> frozenset:
     """The characters one of which every match of a table's row holds:
     ``chars`` when given, else the first character of each surface.  Raises
     ValueError if a surface holds none of them."""
-    needs = frozenset(chars if chars is not None else (s[0] for s, _ in tbl.entries))
-    for surface, _ in tbl.entries:
+    needs = frozenset(chars if chars is not None else (s[0] for s in tbl))
+    for surface in tbl:
         if needs.isdisjoint(surface):
             raise ValueError(
                 f"table surface {surface!r} holds none of {''.join(sorted(needs))!r}"
@@ -424,9 +424,9 @@ _DETECTORS = [
     (_ABBREV_FA_PAT, _whole_match(SemioticClass.ABBREV_FA),
      _needs(_table_needs(ABBREV_FA, ".("))),
     (_FRACTION_PAT, _fraction, _needs("/", _DIGITS)),
-    (SYMBOLS.pattern, _whole_match(SemioticClass.SYMBOL),
+    (alternation(SYMBOLS), _whole_match(SemioticClass.SYMBOL),
      _needs(_table_needs(SYMBOLS))),
-    (MATH_SYMBOLS.pattern, _whole_match(SemioticClass.MATH_SYMBOL),
+    (alternation(MATH_SYMBOLS), _whole_match(SemioticClass.MATH_SYMBOL),
      _needs(_table_needs(MATH_SYMBOLS))),
 ]
 

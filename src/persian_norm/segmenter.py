@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .numwords import ZWNJ
 from .resources import rows
-from .scanner import scan
+from .scanner import _DATE_PAT, scan
 
 TERMINAL_MARKS = ".!?؟"
 DEFAULT_VERB_SPLIT_THRESHOLD = 30
@@ -104,11 +104,20 @@ def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None)
 
 def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
     """Intervals covering every dot that must not split a sentence, sorted
-    and disjoint: those of the spans ``scan`` finds holding a dot.  A text
-    without a dot has none, and is not scanned."""
+    and disjoint: those of the spans ``scan`` finds holding a dot, and of
+    every dotted date shape, even one the calendar rejects.  A text without
+    a dot has none, and is not scanned."""
     if "." not in text:
         return []
-    return [(span.start, span.end) for span in scan(text) if "." in span.raw]
+    intervals = [(span.start, span.end) for span in scan(text) if "." in span.raw]
+    intervals += [m.span() for m in _DATE_PAT.finditer(text) if m.group(2) == "."]
+    merged: list[tuple[int, int]] = []
+    for start, end in sorted(intervals):
+        if merged and start < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(end, merged[-1][1]))
+        else:
+            merged.append((start, end))
+    return merged
 
 
 _TERMINAL_RUN = re.compile(f"[{re.escape(TERMINAL_MARKS)}]+")

@@ -11,7 +11,7 @@ import random
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .numwords import ZWNJ, cardinal_words, decimal_words, grouped_digit_words, ordinal_words
 from .resources import rows, table
@@ -182,16 +182,14 @@ class GroupedReadings:
         self.digits = digits
         self.prefix = prefix
         self.lead = lead
+        self._same_as_lead = self._ranks_read_like_lead() if lead else []
 
     def _say(self, sizes) -> str:
         words = grouped_digit_words(self.digits, list(sizes))
         return f"{self.prefix} {words}" if self.prefix else words
 
-    @cached_property
-    def _same_as_lead(self) -> list[int]:
+    def _ranks_read_like_lead(self) -> list[int]:
         """Ranks, ascending, of the compositions that read like ``lead``."""
-        if not self.lead:
-            return []
         digits, n = self.digits, len(self.digits)
         target, pos = 0, 0
         for size in self.lead:
@@ -289,7 +287,7 @@ def verbalize_fraction(numerator: int, denominator: int) -> str:
     return f"{cardinal_words(numerator)} {ordinal_words(denominator)}"
 
 
-_LETTER_NAMES = dict(table("letter_names").entries)
+_LETTER_NAMES = table("letter_names")
 
 
 def spell_latin_letters(token: str) -> str:
@@ -311,8 +309,7 @@ def expand_abbreviation(token: str) -> str:
 URL_PATH_LIMIT = 10
 
 
-# plain dicts: ``verbalize_url_email`` looks up every character
-_URL_WORDS = {style: dict(table(f"url_words_{style}").entries)
+_URL_WORDS = {style: table(f"url_words_{style}")
               for style in ("latin", "persian")}
 
 

@@ -165,9 +165,9 @@ def _random_text(rng):
 
 
 _SPOKEN_SYMBOLS = (
-    {s for s, _ in table("symbols").entries}
-    | {s for s, _ in table("currencies").entries}
-    | {s for s, _ in table("math_symbols").entries}
+    set(table("symbols"))
+    | set(table("currencies"))
+    | set(table("math_symbols"))
 )
 
 

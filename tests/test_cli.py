@@ -123,6 +123,24 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     assert capsys.readouterr().out == "ساعت هشت\n"
 
 
+def test_config_file_mode_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = genral\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 8:00\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'genral'" in captured.err
+
+
+def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = general\ntemplte_index = 1\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 8:00\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'templte_index'" in captured.err
+
+
 def test_split_command(capsys):
     assert run(["split"], stdin="هوا سرد بود. بچه‌ها ماندند.\n") == 0
     assert capsys.readouterr().out == "هوا سرد بود.\nبچه‌ها ماندند.\n"

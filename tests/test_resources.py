@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
 import persian_norm
-from persian_norm.resources import MappingTable, rows, table
+from persian_norm import resources
+from persian_norm.charset import fold_characters
+from persian_norm.resources import alternation, rows, table
 
 DATA = Path(persian_norm.__file__).parent / "data"
 
@@ -70,18 +71,41 @@ def test_rows_drop_blank_and_comment_lines():
 def test_line_without_tab_maps_to_empty_string():
     # punct_map lists the tatweel alone: it is deleted
     assert table("punct_map")["\u0640"] == ""
-    assert ("%", "درصد") in table("symbols").entries
+    assert ("%", "درصد") in table("symbols").items()
 
 
 def test_longest_surface_wins():
-    tbl = MappingTable(entries=(("a", "x"), ("ab", "")))
-    assert tbl.pattern.pattern == "ab|a"
-    assert tbl.apply("aab") == "x"
+    assert alternation(["a", "ab"]).pattern == "ab|a"
+    # the ligature wins over char_map's fold of its last letter, "ے" -> "ی"
+    assert fold_characters("صلـے") == "صلی"
 
 
-def test_pattern_compiles_when_first_read():
-    tbl = MappingTable(entries=(("a", "x"), ("ab", "")))
-    assert "pattern" not in tbl.__dict__
-    assert tbl.pattern is tbl.pattern
-    with pytest.raises(FrozenInstanceError):
-        tbl.pattern = None
+def _tables_in(tmp_path, monkeypatch, **files):
+    for name, text in files.items():
+        (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(resources, "_data_root", lambda: tmp_path)
+
+
+def test_table_keeps_file_order_across_files(tmp_path, monkeypatch):
+    _tables_in(tmp_path, monkeypatch, one="b\tB\n# note\n\na\n", two="c\tC\n")
+    assert list(table("one", "two").items()) == [("b", "B"), ("a", ""), ("c", "C")]
+
+
+def test_table_empty_surface_raises(tmp_path, monkeypatch):
+    _tables_in(tmp_path, monkeypatch, one="a\tA\n\tB\n")
+    with pytest.raises(ValueError, match="empty surface"):
+        table("one")
+
+
+def test_table_surface_repeated_in_a_file_raises(tmp_path, monkeypatch):
+    _tables_in(tmp_path, monkeypatch, one="a\tA\nb\tB\na\tC\n")
+    with pytest.raises(ValueError, match="duplicate surface 'a' in one.tsv"):
+        table("one")
+
+
+def test_table_surface_repeated_across_files_raises(tmp_path, monkeypatch):
+    _tables_in(tmp_path, monkeypatch,
+               ligature_map="ﷲ\tالله\n", char_map="ك\tک\nﷲ\tالله\n")
+    assert table("ligature_map") == {"ﷲ": "الله"}
+    with pytest.raises(ValueError, match="in char_map.tsv"):
+        table("ligature_map", "char_map")

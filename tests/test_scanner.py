@@ -17,7 +17,6 @@ from persian_norm import (
     validate_national_id,
     validate_sheba,
 )
-from persian_norm.resources import MappingTable
 from persian_norm.scanner import D, _DETECTORS, _DIGITS, _table_needs
 from test_acceptance import criterion_7_corpus
 from test_segmenter import _MIXED_LINES
@@ -370,7 +369,7 @@ def test_digit_set_is_the_digit_class():
 
 
 def test_table_surface_without_row_characters_raises():
-    tbl = MappingTable(entries=(("ر.ک", "رجوع کنید"), ("رک", "رک")))
+    tbl = {"ر.ک": "رجوع کنید", "رک": "رک"}
     with pytest.raises(ValueError, match="رک"):
         _table_needs(tbl, ".(")
     assert _table_needs(tbl) == {"ر"}

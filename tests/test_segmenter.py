@@ -125,6 +125,16 @@ def test_year_zero_dotted_date_splits():
     assert split_sentences("تاریخ 0000.01.01 بود. تمام")
 
 
+def test_rejected_dotted_date_keeps_its_dots():
+    # no DATE span protects a date the calendar rejects; its shape still does
+    assert split_sentences("تاریخ 0000.01.01 بود. تمام") == [
+        "تاریخ 0000.01.01 بود.", "تمام",
+    ]
+    assert split_sentences("تاریخ 1400.12.30 بود.") == ["تاریخ 1400.12.30 بود."]
+    # the date shape overlaps the DECIMAL span "0000.01": one interval
+    assert protect_non_terminal_dots("تاریخ 0000.01.01 بود.") == [(6, 16)]
+
+
 def test_character_conservation():
     texts = [
         "هوا سرد بود. بچه‌ها ماندند! آیا رفتند؟",
