@@ -4,38 +4,105 @@ Each pass is a total, idempotent function over text: letter variant folding,
 digit variant folding, punctuation normalization, markup-entity decoding and
 emoji removal.  The inventories live in the tab-separated files under
 ``persian_norm/data``.
+
+The three fold passes each map characters through one table.
+``composed_fold`` gives, for any set of them, one function that folds as
+those passes would one after the other: a ``sub`` over the few ligatures
+spelled with more than one character, then a single ``str.translate``
+through one table composed from theirs.
 """
 
 from __future__ import annotations
 
+import functools
 import html
 import re
+from collections.abc import Callable, Sequence
 
 from .resources import alternation, rows, table
 
-# each table's alternation tries its longest surfaces first, so a ligature
-# wins over the letters it is spelled with
-_CHARS = table("ligature_map", "char_map")
-_CHARS_PAT = alternation(_CHARS)
-_DIGITS = table("digit_map")
-_DIGITS_PAT = alternation(_DIGITS)
-_PUNCT = table("punct_map")
-_PUNCT_PAT = alternation(_PUNCT)
+# the fold passes in pipeline order, each with its table
+FOLD_TABLES = {
+    "fold_characters": table("ligature_map", "char_map"),
+    "fold_digits": table("digit_map"),
+    "fold_punctuation": table("punct_map"),
+}
+
+
+def check_fold_order(tables: Sequence[dict[str, str]]) -> None:
+    """Raise ValueError if ``tables`` break the conditions under which
+    folding with them composed is folding with each in turn: only the first
+    table may have surfaces of more than one character, and no replacement
+    may hold a one-character surface of its own table or of a later one."""
+    for i, tbl in enumerate(tables):
+        later = {s for t in tables[i:] for s in t if len(s) == 1}
+        for surface, replacement in tbl.items():
+            if i and len(surface) > 1:
+                raise ValueError(
+                    f"surface {surface!r} of more than one character "
+                    f"in fold table {i}")
+            held = later.intersection(replacement)
+            if held:
+                raise ValueError(
+                    f"replacement of {surface!r} holds {min(held)!r}, "
+                    f"a surface of fold table {i} or a later one")
+
+
+check_fold_order(tuple(FOLD_TABLES.values()))
+
+# a code point missing from a translate table costs ``str.translate`` a
+# raised and cleared KeyError; ASCII, the Arabic block and ZWNJ are most of
+# the text, so those absent from every fold table map to themselves
+_COMMON = {cp: cp for cp in (*range(0x80), *range(0x600, 0x700), 0x200C)}
+
+
+@functools.cache
+def _fold_of(names: tuple[str, ...]) -> Callable[[str], str]:
+    tables = [FOLD_TABLES[name] for name in names]
+    # ``check_fold_order`` keeps every replacement clear of the surfaces of
+    # its own and later tables, so a surface folds, through all the tables
+    # in turn, to its replacement in the first table that has it; and it
+    # keeps the ligatures (the longer surfaces) in the first table, so the
+    # translate after their sub leaves their replacements as they are
+    mapping = dict(_COMMON)
+    for tbl in reversed(tables):
+        mapping.update((ord(s), r) for s, r in tbl.items() if len(s) == 1)
+    ligatures = {s: r for s, r in tables[0].items() if len(s) > 1} if tables else {}
+    ligature_pat = alternation(ligatures) if ligatures else None
+
+    def expand(m):
+        return ligatures[m.group()]
+
+    def fold(text: str) -> str:
+        if ligature_pat is not None:
+            text = ligature_pat.sub(expand, text)
+        out = text.translate(mapping)
+        # translate always copies: an unchanged text comes back as itself
+        return text if out == text else out
+
+    return fold
+
+
+@functools.cache
+def composed_fold(passes: frozenset[str]) -> Callable[[str], str]:
+    """The fold passes named in ``passes`` (other names are ignored) as one
+    function, built once per set of fold passes."""
+    return _fold_of(tuple(name for name in FOLD_TABLES if name in passes))
 
 
 def fold_characters(text: str) -> str:
     """Fold Arabic letter variants, decorated Latin letters and ligatures."""
-    return _CHARS_PAT.sub(lambda m: _CHARS[m.group(0)], text)
+    return _fold_of(("fold_characters",))(text)
 
 
 def fold_digits(text: str) -> str:
     """Replace every supported digit variant with Persian digits."""
-    return _DIGITS_PAT.sub(lambda m: _DIGITS[m.group(0)], text)
+    return _fold_of(("fold_digits",))(text)
 
 
 def fold_punctuation(text: str) -> str:
     """Canonicalize punctuation variants and expand vulgar fractions."""
-    return _PUNCT_PAT.sub(lambda m: _PUNCT[m.group(0)], text)
+    return _fold_of(("fold_punctuation",))(text)
 
 
 def decode_markup_entities(text: str) -> str:
@@ -54,13 +121,18 @@ _EMOJI_ATOM = "[" + "".join(
 # one emoji with optional variation selector, then ZWJ-joined continuations
 _EMOJI_PAT = re.compile(
     _EMOJI_ATOM + "\ufe0f?(?:\u200d" + _EMOJI_ATOM + "\ufe0f?)*")
+# a character at or above the lowest emoji code point; the negated class
+# compiles far faster than the range up to U+10FFFF
+_EMOJI_GUARD = re.compile(
+    f"[^\\x00-\\U{min(lo for lo, _ in _EMOJI_RANGES) - 1:08x}]")
+_SPACES = re.compile("  +")
 
 
 def strip_emojis(text: str) -> str:
     """Remove emoji sequences and collapse the whitespace they leave behind."""
-    out = _EMOJI_PAT.sub("", text)
-    out = re.sub(r"  +", " ", out)
-    return out.strip()
+    if _EMOJI_GUARD.search(text):
+        text = _EMOJI_PAT.sub("", text)
+    return _SPACES.sub(" ", text).strip()
 
 
 def is_emoji_char(ch: str) -> bool:

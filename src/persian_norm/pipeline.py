@@ -47,10 +47,12 @@ _DEFAULT_CONFIG = PipelineConfig()
 
 
 def normalize_general(text: str, config: PipelineConfig | None = None) -> str:
-    """Run the character-level canonicalization passes in fixed order."""
-    config = config or _DEFAULT_CONFIG
+    """Run the character-level canonicalization passes in fixed order: the
+    enabled fold passes as one composed fold, then the others."""
+    enabled = (config or _DEFAULT_CONFIG).enabled_passes
+    text = charset.composed_fold(enabled)(text)
     for name, fn in GENERAL_PASSES:
-        if name in config.enabled_passes:
+        if name in enabled and name not in charset.FOLD_TABLES:
             text = fn(text)
     return text
 

@@ -232,8 +232,12 @@ def validate_sheba(candidate: str) -> bool:
 # text) to a candidate ``(cls, start, end, data)``, or to None when a check
 # on the match fails.
 
+# The date, time, decimal and fraction rows open on a digit not preceded by
+# one.  Written as a digit and then a lookbehind, rather than a lookbehind
+# first, the pattern starts with a digit, so ``re`` tries a match only at
+# digits.
 _DATE_PAT = re.compile(
-    rf"(?<!{D})({D}{{1,4}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
+    rf"({D}(?<!{D}{D}){D}{{0,3}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
 )
 
 
@@ -255,7 +259,7 @@ def _date(m, text):
     return SemioticClass.DATE, m.start(), m.end(), {"date": date}
 
 
-_TIME_PAT = re.compile(rf"(?<!{D})({D}{{1,2}}):({D}{{2}})(?::({D}{{2}}))?(?!{D})")
+_TIME_PAT = re.compile(rf"({D}(?<!{D}{D}){D}?):({D}{{2}})(?::({D}{{2}}))?(?!{D})")
 
 
 def _time(m, text):
@@ -323,7 +327,7 @@ def _digit_run(m, text):
     return cls, m.start(), m.end(), {}
 
 
-_DECIMAL_PAT = re.compile(rf"(?<!{D})({D}{{1,15}})\.({D}+)(?!{D})")
+_DECIMAL_PAT = re.compile(rf"({D}(?<!{D}{D}){D}{{0,14}})\.({D}+)(?!{D})")
 
 
 def _decimal(m, text):
@@ -333,7 +337,7 @@ def _decimal(m, text):
 
 
 # simple x/y fractions (x < y) read as spoken fractions, e.g. ۱/۲
-_FRACTION_PAT = re.compile(rf"(?<!{D})({D}{{1,2}})/({D}{{1,2}})(?!{D})")
+_FRACTION_PAT = re.compile(rf"({D}(?<!{D}{D}){D}?)/({D}{{1,2}})(?!{D})")
 
 
 def _fraction(m, text):
@@ -410,7 +414,7 @@ _CURRENCY_CHARS = _table_needs(CURRENCIES)
 # character of each set in ``needs``, so ``scan`` skips the row when the
 # text lacks every character of one of them
 _DETECTORS = [
-    (_URL_PAT, _url, _needs(".:")),
+    (_URL_PAT, _url, _needs(".:", ascii_letters)),
     (_EMAIL_PAT, _whole_match(SemioticClass.EMAIL), _needs("@")),
     (_SHEBA_PAT, _sheba, _needs("I", _DIGITS)),
     (_DATE_PAT, _date, _needs("/.-", _DIGITS)),

@@ -1,13 +1,21 @@
+import itertools
+import random
+import re
+
 import pytest
 
 from persian_norm import (
+    PipelineConfig,
     decode_markup_entities,
     fold_characters,
     fold_digits,
     fold_punctuation,
+    normalize_general,
     strip_emojis,
 )
-from persian_norm.charset import _EMOJI_PAT, is_emoji_char
+from persian_norm.charset import _EMOJI_PAT, check_fold_order, is_emoji_char
+from persian_norm.pipeline import PASS_NAMES
+from persian_norm.resources import alternation, table
 
 
 def test_arabic_yeh_folds_to_persian():
@@ -128,3 +136,86 @@ def test_whitespace_positions_preserved():
 
 def test_emoji_pattern_compiles():
     assert _EMOJI_PAT.search("😀")
+
+
+# the fold passes in order, each with its table, read anew from the data,
+# and the table's alternation
+_FOLD_PASSES = [
+    (name, tbl, alternation(tbl)) for name, tbl in [
+        ("fold_characters", table("ligature_map", "char_map")),
+        ("fold_digits", table("digit_map")),
+        ("fold_punctuation", table("punct_map")),
+    ]
+]
+
+
+def _sequential_general(text, enabled):
+    """normalize_general as the passes one after the other: one alternation
+    sub per fold table, then entity decoding and emoji removal."""
+    for name, tbl, pattern in _FOLD_PASSES:
+        if name in enabled:
+            text = pattern.sub(lambda m: tbl[m.group(0)], text)
+    if "decode_markup_entities" in enabled:
+        text = decode_markup_entities(text)
+    if "strip_emojis" in enabled:
+        text = re.sub("  +", " ", _EMOJI_PAT.sub("", text)).strip()
+    return text
+
+
+def _fold_fuzz_lines(n, seed=0):
+    chars = set()
+    for _, tbl, _ in _FOLD_PASSES:
+        for surface, replacement in tbl.items():
+            chars.update(surface + replacement)
+    pieces = sorted(chars) + [
+        "صلّـے", "صلـے", "&amp;", "&lt", "➀", "👨\u200d👩\u200d👧", "😀\u200d",
+        "\ufe0f", "←", "\u218f", " ", "  ", "a", "ب",
+    ] * 3
+    rng = random.Random(seed)
+    return ["".join(rng.choice(pieces) for _ in range(rng.randrange(1, 20)))
+            for _ in range(n)]
+
+
+def test_composed_fold_matches_the_passes_in_turn():
+    lines = _fold_fuzz_lines(2000)
+    for r in range(len(PASS_NAMES) + 1):
+        for subset in itertools.combinations(PASS_NAMES, r):
+            config = PipelineConfig(enabled_passes=frozenset(subset))
+            for text in lines:
+                assert normalize_general(text, config) == \
+                    _sequential_general(text, subset), (subset, text)
+
+
+def test_fold_order_check_raises_on_a_later_surface_in_a_replacement():
+    with pytest.raises(ValueError, match="'x'"):
+        check_fold_order([{"a": "bx"}, {"x": "y"}])
+    with pytest.raises(ValueError, match="'a'"):
+        check_fold_order([{"a": "ba"}])
+    with pytest.raises(ValueError, match="'ab'"):
+        check_fold_order([{"c": "d"}, {"ab": "x"}])
+    check_fold_order([{"ab": "x"}, {"y": "z"}])
+
+
+def test_emoji_guard_starts_at_the_lowest_emoji():
+    assert strip_emojis("a \u2190 b") == "a b"
+    assert strip_emojis("a \u218f b") == "a \u218f b"
+
+
+def test_fold_key_that_is_an_emoji_is_folded():
+    assert is_emoji_char("➀")
+    assert normalize_general("➀") == "۱"
+
+
+@pytest.mark.parametrize("ligature, disabled, expected", [
+    ("صلّـے", None, "صلی"),
+    ("صلّـے", "fold_characters", "صلّے"),  # its tatweel is still deleted
+    ("صلّـے", "fold_digits", "صلی"),
+    ("صلّـے", "fold_punctuation", "صلی"),
+    ("صلـے", None, "صلی"),
+    ("صلـے", "fold_characters", "صلے"),
+    ("صلـے", "fold_digits", "صلی"),
+    ("صلـے", "fold_punctuation", "صلی"),
+])
+def test_ligature_with_each_fold_pass_disabled(ligature, disabled, expected):
+    config = PipelineConfig() if disabled is None else PipelineConfig().disable(disabled)
+    assert normalize_general(ligature, config) == expected

@@ -13,7 +13,7 @@ import random
 import statistics
 import time
 
-from persian_norm import normalize_speech, scan, split_sentences
+from persian_norm import normalize_general, normalize_speech, scan, split_sentences
 
 GROWTH_BOUND = 1.4
 
@@ -57,6 +57,15 @@ def _decimal_paragraph(n):
     ) + " پایان."
 
 
+def _unfinished_ligatures(n):
+    # "صل" begins both ligature surfaces; the run never completes one
+    return "متن " + "صل" * n + " پایان"
+
+
+def _joined_emoji(n):
+    return "متن " + "\u200d".join(["😀"] * n) + " پایان"
+
+
 def test_latin_letter_run_speech():
     # the email detector retried a local part from every letter of the run
     growth = _growth(normalize_speech, _letter_run(4000), _letter_run(8000), calls=20)
@@ -85,4 +94,18 @@ def test_decimal_paragraph_split():
 def test_long_digit_run_scan():
     # the postfix currency amount was retried from every digit of the run
     growth = _growth(scan, _digit_run(4000), _digit_run(8000), calls=5)
+    assert growth < GROWTH_BOUND
+
+
+def test_unfinished_ligature_run_general():
+    # every "صل" begins a ligature, and the letter after it ends the match
+    growth = _growth(normalize_general, _unfinished_ligatures(20000),
+                     _unfinished_ligatures(40000), calls=5)
+    assert growth < GROWTH_BOUND
+
+
+def test_zwj_joined_emoji_run_general():
+    # the whole run is one emoji sequence for the emoji pattern
+    growth = _growth(normalize_general, _joined_emoji(10000),
+                     _joined_emoji(20000), calls=5)
     assert growth < GROWTH_BOUND

@@ -17,7 +17,16 @@ from persian_norm import (
     validate_national_id,
     validate_sheba,
 )
-from persian_norm.scanner import D, _DETECTORS, _DIGITS, _table_needs
+from persian_norm.scanner import (
+    D,
+    _DATE_PAT,
+    _DECIMAL_PAT,
+    _DETECTORS,
+    _DIGITS,
+    _FRACTION_PAT,
+    _TIME_PAT,
+    _table_needs,
+)
 from test_acceptance import criterion_7_corpus
 from test_segmenter import _MIXED_LINES
 
@@ -373,3 +382,29 @@ def test_table_surface_without_row_characters_raises():
     with pytest.raises(ValueError, match="رک"):
         _table_needs(tbl, ".(")
     assert _table_needs(tbl) == {"ر"}
+
+
+# the rows that open on a digit not preceded by one, each with a text it
+# matches whole and the class of its span
+_DIGIT_ROWS = [
+    (_DATE_PAT, "1400/01/01", SemioticClass.DATE),
+    (_TIME_PAT, "11:35", SemioticClass.TIME),
+    (_DECIMAL_PAT, "3.14", SemioticClass.DECIMAL),
+    (_FRACTION_PAT, "1/2", SemioticClass.MATH_SYMBOL),
+]
+
+
+@pytest.mark.parametrize("pattern, body, cls", _DIGIT_ROWS)
+def test_digit_row_span_at_offset_zero(pattern, body, cls):
+    assert pattern.match(body).group(0) == body
+    assert [(s.start, s.end, s.cls) for s in scan(body + " بود")] == \
+        [(0, len(body), cls)]
+
+
+@pytest.mark.parametrize("digit", ["5", "۵", "٥"])
+@pytest.mark.parametrize("pattern, body, cls", _DIGIT_ROWS)
+def test_digit_row_never_starts_after_a_digit(pattern, body, cls, digit):
+    text = f"عدد {digit}{body} بود"
+    assert all(text[m.start() - 1] not in _DIGITS
+               for m in pattern.finditer(text))
+    assert not any(s.start == 5 and s.cls is cls for s in scan(text))
