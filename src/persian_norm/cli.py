@@ -21,7 +21,11 @@ from .pipeline import (
     normalize_speech,
 )
 from .scanner import scan
-from .segmenter import evaluate_segmentation, split_sentences
+from .segmenter import (
+    DEFAULT_VERB_SPLIT_THRESHOLD,
+    evaluate_segmentation,
+    split_sentences,
+)
 from .verbalize import SelectionPolicy
 
 
@@ -59,8 +63,9 @@ def build_parser() -> _Parser:
                       help="input file, or - for stdin")
 
     split = sub.add_parser("split", help="sentence segmentation")
-    split.add_argument("--threshold", type=int, default=None,
-                       help="verb-split token threshold")
+    split.add_argument("--threshold", type=int,
+                       default=DEFAULT_VERB_SPLIT_THRESHOLD,
+                       help="verb-split token threshold (default: %(default)s)")
     split.add_argument("input", nargs="?", default="-")
 
     ev = sub.add_parser("eval-split", help="segmentation accuracy on a gold fixture")
@@ -88,14 +93,17 @@ def _lines(fh):
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    """The ``key = value`` lines of a config file; raises ValueError on an
-    unknown key or mode, as the parser rejects an unknown flag or mode."""
+    """The ``key = value`` lines of a config file; raises ValueError on a
+    line without ``=`` or an unknown key or mode, as the parser rejects an
+    unknown flag or mode."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for ln in fh:
             ln = ln.strip()
-            if not ln or ln.startswith("#") or "=" not in ln:
+            if not ln or ln.startswith("#"):
                 continue
+            if "=" not in ln:
+                raise ValueError(f"{path}: not a key = value line: {ln!r}")
             key, _, value = ln.partition("=")
             key = key.strip()
             if key not in _CONFIG_KEYS:
@@ -124,7 +132,7 @@ def _build_config(args) -> tuple[PipelineConfig, str]:
         policy = SelectionPolicy.fixed(index or 0)
     disabled = set(args.disable)
     if "disable" in file_values:
-        disabled |= set(file_values["disable"].split(","))
+        disabled |= {name.strip() for name in file_values["disable"].split(",")}
     config = PipelineConfig(policy=policy)
     for name in disabled:
         config = config.disable(name)
@@ -146,12 +154,10 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    kwargs = {}
-    if args.threshold is not None:
-        kwargs["verb_split_threshold"] = args.threshold
     with _open_input(args.input) as src:
         for line in _lines(src):
-            for sentence in split_sentences(line, **kwargs):
+            for sentence in split_sentences(
+                    line, verb_split_threshold=args.threshold):
                 print(sentence)
     return 0
 

@@ -8,9 +8,9 @@ text and returns typed, non-overlapping spans for the verbalizers.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from string import ascii_letters
 
 from .resources import alternation, table
@@ -54,6 +54,7 @@ class SemioticClass(Enum):
 
 
 _PRIORITY_INDEX = {cls: i for i, cls in enumerate(SemioticClass)}
+_BY_START = attrgetter("start")
 
 
 class Calendar(Enum):
@@ -441,6 +442,19 @@ _TRIGGER = re.compile("[" + re.escape("".join(sorted(
 ))) + "]")
 
 
+def _resolve(candidates, text: str) -> list[SemioticSpan]:
+    """Accept, in order, each candidate overlapping none accepted before."""
+    covered = bytearray(len(text))
+    accepted = []
+    for cls, start, end, data in candidates:
+        if covered.find(1, start, end) == -1:
+            covered[start:end] = b"\1" * (end - start)
+            accepted.append(SemioticSpan(start=start, end=end, cls=cls,
+                                         raw=text[start:end], data=data))
+    accepted.sort(key=_BY_START)
+    return accepted
+
+
 def scan(text: str) -> list[SemioticSpan]:
     """Return all maximal non-overlapping semiotic spans, sorted by start.
 
@@ -448,7 +462,7 @@ def scan(text: str) -> list[SemioticSpan]:
     row is skipped when the text holds no character of one of its sets, as
     none of its matches could then occur.  Overlaps are resolved by class
     priority (the order of ``SemioticClass``), then by match length, then by
-    position.
+    position, in time linear in the total length of the candidates.
     """
     present = set(_TRIGGER.findall(text))
     candidates = []
@@ -464,18 +478,4 @@ def scan(text: str) -> list[SemioticSpan]:
     candidates.sort(
         key=lambda c: (_PRIORITY_INDEX[c[0]], -(c[2] - c[1]), c[1])
     )
-    # accepted spans are disjoint, so sorted by start they are sorted by end
-    # too; a candidate overlaps one exactly when the first span ending after
-    # its start begins before its end
-    starts: list[int] = []
-    ends: list[int] = []
-    accepted: list[SemioticSpan] = []
-    for cls, start, end, data in candidates:
-        i = bisect_right(ends, start)
-        if i < len(starts) and starts[i] < end:
-            continue
-        starts.insert(i, start)
-        ends.insert(i, end)
-        accepted.insert(i, SemioticSpan(start=start, end=end, cls=cls,
-                                        raw=text[start:end], data=data))
-    return accepted
+    return _resolve(candidates, text)

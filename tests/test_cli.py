@@ -141,6 +141,24 @@ def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "'templte_index'" in captured.err
 
 
+def test_config_file_disable_names_are_stripped(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = general\ndisable = strip_emojis, fold_digits\n",
+                   encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="عدد 6 😀\n") == 0
+    assert capsys.readouterr().out == "عدد 6 😀\n"
+
+
+def test_config_file_line_without_equals_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = general\ndisable strip_emojis\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 8:00\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert "'disable strip_emojis'" in captured.err
+
+
 def test_split_command(capsys):
     assert run(["split"], stdin="هوا سرد بود. بچه‌ها ماندند.\n") == 0
     assert capsys.readouterr().out == "هوا سرد بود.\nبچه‌ها ماندند.\n"

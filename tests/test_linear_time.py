@@ -13,7 +13,14 @@ import random
 import statistics
 import time
 
-from persian_norm import normalize_general, normalize_speech, scan, split_sentences
+from persian_norm import (
+    SemioticClass,
+    normalize_general,
+    normalize_speech,
+    scan,
+    split_sentences,
+)
+from persian_norm.scanner import _resolve
 
 GROWTH_BOUND = 1.4
 
@@ -66,6 +73,16 @@ def _joined_emoji(n):
     return "متن " + "\u200d".join(["😀"] * n) + " پایان"
 
 
+def _reversed_spans(n):
+    # n disjoint TIME candidates from the end of the text back to its
+    # start, each followed by a PLAIN_NUMBER candidate that it covers
+    candidates = []
+    for i in reversed(range(n)):
+        candidates.append((SemioticClass.TIME, 4 * i, 4 * i + 3, {}))
+        candidates.append((SemioticClass.PLAIN_NUMBER, 4 * i + 2, 4 * i + 3, {}))
+    return candidates, "1:2 " * n
+
+
 def test_latin_letter_run_speech():
     # the email detector retried a local part from every letter of the run
     growth = _growth(normalize_speech, _letter_run(4000), _letter_run(8000), calls=20)
@@ -81,6 +98,13 @@ def test_many_numbers_on_one_line_speech():
 def test_long_digit_run_speech():
     # building every digit-group reading grew as 1.32**n
     growth = _growth(normalize_speech, _digit_run(16), _digit_run(32), calls=20)
+    assert growth < GROWTH_BOUND
+
+
+def test_many_spans_in_reverse_text_order_resolve():
+    # each accepted span was inserted mid-list into three sorted lists
+    growth = _growth(lambda args: _resolve(*args), _reversed_spans(25000),
+                     _reversed_spans(50000))
     assert growth < GROWTH_BOUND
 
 

@@ -25,6 +25,7 @@ from persian_norm.scanner import (
     _DIGITS,
     _FRACTION_PAT,
     _TIME_PAT,
+    _resolve,
     _table_needs,
 )
 from test_acceptance import criterion_7_corpus
@@ -337,6 +338,59 @@ def test_rescan_span_in_isolation():
     for span in scan(text):
         again = scan(span.raw)
         assert any(s.cls is span.cls for s in again)
+
+
+def _random_candidates(rng, text_len):
+    """Candidates over a text of ``text_len`` characters, many of them
+    nested in, identical to, touching or covering an earlier one."""
+    candidates = []
+    for i in range(rng.randrange(16)):
+        cls = rng.choice(list(SemioticClass))
+        if candidates and rng.random() < 0.6:
+            _, start, end, _ = rng.choice(candidates)
+            shape = rng.choice(("identical", "nested", "touching", "covering"))
+            if shape == "nested":
+                start = rng.randrange(start, end)
+                end = rng.randrange(start + 1, end + 1)
+            elif shape == "touching":
+                if end < text_len and (start == 0 or rng.random() < 0.5):
+                    start, end = end, rng.randrange(end + 1, text_len + 1)
+                elif start > 0:
+                    start, end = rng.randrange(start), start
+            elif shape == "covering":
+                start = rng.randrange(start + 1)
+                end = rng.randrange(end, text_len + 1)
+        else:
+            start = rng.randrange(text_len)
+            end = rng.randrange(start + 1, text_len + 1)
+        candidates.append((cls, start, end, {"candidate": i}))
+    return candidates
+
+
+def _pairwise_greedy(candidates, text):
+    accepted = []
+    for cls, start, end, data in candidates:
+        if all(end <= s or e <= start for _, s, e, _ in accepted):
+            accepted.append((cls, start, end, data))
+    return [(start, end, cls, text[start:end], data)
+            for cls, start, end, data in sorted(accepted, key=lambda c: c[1])]
+
+
+def test_resolve_matches_pairwise_greedy():
+    rng = random.Random(11)
+    for _ in range(2000):
+        text = "".join(rng.choice("12:/. ابپ") for _ in range(rng.randrange(1, 40)))
+        candidates = _random_candidates(rng, len(text))
+        spans = _resolve(candidates, text)
+        assert [(s.start, s.end, s.cls, s.raw, s.data) for s in spans] == \
+            _pairwise_greedy(candidates, text), candidates
+
+
+def test_scan_spans_are_disjoint_and_sorted():
+    for text in _MIXED_LINES:
+        spans = scan(text)
+        assert spans
+        assert all(a.end <= b.start for a, b in zip(spans, spans[1:])), text
 
 
 _TRIGGER_CHARS = sorted(
