@@ -27,3 +27,10 @@ def test_glued_emails_start_only_after_a_separator():
     # "_x@c.com" is glued to the first email, so no second email starts there
     assert normalize_speech("a@b.com_x@c.com") == \
         "a at b dot com _x ات سی‌سی‌او‌ام"
+
+
+def test_url_trims_trailing_punctuation():
+    assert [(s.cls, s.raw) for s in scan("سایت http://a.ir/x. را")] == \
+        [(SemioticClass.URL, "http://a.ir/x")]
+    assert [(s.cls, s.raw) for s in scan("به www.a.ir) بروید")] == \
+        [(SemioticClass.URL, "www.a.ir")]

@@ -53,6 +53,10 @@ def test_speech_currency():
     assert normalize_speech("قیمت 25$ بود") == "قیمت بیست و پنج دلار بود"
 
 
+def test_speech_bare_currency_symbol():
+    assert normalize_speech("فقط $ ماند") == "فقط دلار ماند"
+
+
 def test_speech_decimal():
     assert normalize_speech("عدد 3.14 است") == "عدد سه ممیز چهارده صدم است"
 

@@ -314,6 +314,37 @@ def test_calendar_date_validation():
     CalendarDate(Calendar.SOLAR_HIJRI, 1400, 1, 31)
 
 
+def _gregorian_month_length(year, month):
+    leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    if month == 2:
+        return 29 if leap else 28
+    return 30 if month in (4, 6, 9, 11) else 31
+
+
+def _accepts(calendar, year, month, day):
+    try:
+        CalendarDate(calendar, year, month, day)
+    except ValueError:
+        return False
+    return True
+
+
+def test_gregorian_month_lengths_follow_the_4_100_400_rule():
+    for year in range(1, 2401):
+        for month in range(1, 13):
+            length = _gregorian_month_length(year, month)
+            for day in (0, 1, 28, 29, 30, 31, 32):
+                assert _accepts(Calendar.GREGORIAN, year, month, day) == \
+                    (1 <= day <= length), (year, month, day)
+
+
+def test_gregorian_feb_29_in_century_and_leap_years():
+    assert not _accepts(Calendar.GREGORIAN, 1900, 2, 29)
+    assert _accepts(Calendar.GREGORIAN, 2000, 2, 29)
+    assert _accepts(Calendar.GREGORIAN, 2024, 2, 29)
+    assert not _accepts(Calendar.GREGORIAN, 2023, 2, 29)
+
+
 def test_esfand_30_only_in_solar_hijri_leap_years():
     with pytest.raises(ValueError):
         CalendarDate(Calendar.SOLAR_HIJRI, 1400, 12, 30)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from persian_norm import (
@@ -218,6 +220,88 @@ def test_lexicon_requires_past_stems():
             auxiliaries=frozenset(),
             full_forms=frozenset(),
         )
+
+
+def _is_verb_by_suffix_loops(token, lexicon):
+    """The verb test as stem + suffix loops over each token, the reference
+    for ``segmenter._is_verb``."""
+    token = token.strip(segmenter._TOKEN_PUNCT)
+    if not token:
+        return False
+    if token in lexicon.full_forms or token in lexicon.auxiliaries:
+        return True
+    stemmed, has_present_prefix = segmenter._strip_prefix(token)
+    for candidate in {token, stemmed}:
+        for suffix in lexicon.past_suffixes:
+            if candidate.endswith(suffix):
+                stem = candidate[:len(candidate) - len(suffix)] if suffix else candidate
+                if stem in lexicon.past_stems:
+                    return True
+    if has_present_prefix:
+        for suffix in ("",) + lexicon.present_suffixes:
+            if stemmed.endswith(suffix):
+                stem = stemmed[:len(stemmed) - len(suffix)] if suffix else stemmed
+                if stem in lexicon.present_stems:
+                    return True
+    return False
+
+
+_ZWNJ = "\u200c"
+_PREFIXES = ("", "", "می", "نمی", "ن", "نیا", "می" + _ZWNJ, "نمی" + _ZWNJ)
+
+
+def _verb_like_tokens(lexicon, n, seed):
+    """Seeded tokens built from the lexicon's stems and suffixes, with
+    prefixes, ZWNJ, stray letters and clinging punctuation."""
+    rng = random.Random(seed)
+    stems = sorted(lexicon.past_stems | lexicon.present_stems)
+    suffixes = sorted(set(lexicon.past_suffixes) | set(lexicon.present_suffixes) | {""})
+    whole = sorted(lexicon.full_forms | lexicon.auxiliaries)
+    letters = "ابتدرسمنویهآ" + _ZWNJ
+    tokens = []
+    for _ in range(n):
+        if whole and rng.random() < 0.1:
+            body = rng.choice(whole)
+        else:
+            prefix = rng.choice(_PREFIXES)
+            stem = rng.choice(stems)
+            if prefix == "نیا" and stem.startswith("آ"):
+                stem = stem[1:]
+            body = prefix + stem + rng.choice(suffixes)
+            if rng.random() < 0.2:
+                cut = rng.randrange(len(body) + 1)
+                body = body[:cut] + rng.choice(letters) + body[cut:]
+            if rng.random() < 0.1:
+                body = body[:rng.randrange(len(body) + 1)]
+        if rng.random() < 0.2:
+            body = rng.choice(segmenter._TOKEN_PUNCT) + body
+        if rng.random() < 0.2:
+            body += rng.choice(segmenter._TOKEN_PUNCT) * rng.randint(1, 2)
+        tokens.append(body)
+    return tokens
+
+
+_CUSTOM_LEXICON = VerbLexicon(
+    past_stems=frozenset({"رفت", "آمد", "خورد"}),
+    present_stems=frozenset({"رو", "آ", "خور"}),
+    past_suffixes=("م", "ند", "ه‌اند"),
+    present_suffixes=("م", "ند"),
+    auxiliaries=frozenset({"خواهد"}),
+    full_forms=frozenset({"است"}),
+)
+
+
+@pytest.mark.parametrize("lexicon", [DEFAULT_LEXICON, _CUSTOM_LEXICON],
+                         ids=["default", "custom"])
+def test_is_verb_matches_the_suffix_loops(lexicon):
+    tokens = _verb_like_tokens(lexicon, 20_000, seed=7)
+    verbs = 0
+    for token in tokens:
+        expected = _is_verb_by_suffix_loops(token, lexicon)
+        assert segmenter._is_verb(token, lexicon) == expected, token
+        verbs += expected
+    # the tokens hold both verbs and non-verbs in number
+    assert 0.2 < verbs / len(tokens) < 0.8
 
 
 def test_empty_input():
