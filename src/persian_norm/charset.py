@@ -57,8 +57,10 @@ _COMMON = {cp: cp for cp in (*range(0x80), *range(0x600, 0x700), 0x200C)}
 
 
 @functools.cache
-def _fold_of(names: tuple[str, ...]) -> Callable[[str], str]:
-    tables = [FOLD_TABLES[name] for name in names]
+def composed_fold(passes: frozenset[str]) -> Callable[[str], str]:
+    """The fold passes named in ``passes`` (other names are ignored) as one
+    function, built once per set of fold passes."""
+    tables = [tbl for name, tbl in FOLD_TABLES.items() if name in passes]
     # ``check_fold_order`` keeps every replacement clear of the surfaces of
     # its own and later tables, so a surface folds, through all the tables
     # in turn, to its replacement in the first table that has it; and it
@@ -83,26 +85,19 @@ def _fold_of(names: tuple[str, ...]) -> Callable[[str], str]:
     return fold
 
 
-@functools.cache
-def composed_fold(passes: frozenset[str]) -> Callable[[str], str]:
-    """The fold passes named in ``passes`` (other names are ignored) as one
-    function, built once per set of fold passes."""
-    return _fold_of(tuple(name for name in FOLD_TABLES if name in passes))
-
-
 def fold_characters(text: str) -> str:
     """Fold Arabic letter variants, decorated Latin letters and ligatures."""
-    return _fold_of(("fold_characters",))(text)
+    return composed_fold(frozenset({"fold_characters"}))(text)
 
 
 def fold_digits(text: str) -> str:
     """Replace every supported digit variant with Persian digits."""
-    return _fold_of(("fold_digits",))(text)
+    return composed_fold(frozenset({"fold_digits"}))(text)
 
 
 def fold_punctuation(text: str) -> str:
     """Canonicalize punctuation variants and expand vulgar fractions."""
-    return _fold_of(("fold_punctuation",))(text)
+    return composed_fold(frozenset({"fold_punctuation"}))(text)
 
 
 def decode_markup_entities(text: str) -> str:

@@ -12,14 +12,12 @@ from . import charset
 from .scanner import SemioticSpan, scan
 from .verbalize import SelectionPolicy, option_count, span_variants
 
+# the passes after the fold passes, which run first as one composed fold
 GENERAL_PASSES = (
-    ("fold_characters", charset.fold_characters),
-    ("fold_digits", charset.fold_digits),
-    ("fold_punctuation", charset.fold_punctuation),
     ("decode_markup_entities", charset.decode_markup_entities),
     ("strip_emojis", charset.strip_emojis),
 )
-PASS_NAMES = tuple(name for name, _ in GENERAL_PASSES)
+PASS_NAMES = (*charset.FOLD_TABLES, *(name for name, _ in GENERAL_PASSES))
 
 ENUMERATION_CAP = 10**4
 
@@ -52,7 +50,7 @@ def normalize_general(text: str, config: PipelineConfig | None = None) -> str:
     enabled = (config or _DEFAULT_CONFIG).enabled_passes
     text = charset.composed_fold(enabled)(text)
     for name, fn in GENERAL_PASSES:
-        if name in enabled and name not in charset.FOLD_TABLES:
+        if name in enabled:
             text = fn(text)
     return text
 

@@ -8,6 +8,7 @@ text and returns typed, non-overlapping spans for the verbalizers.
 from __future__ import annotations
 
 import re
+from calendar import monthrange
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -88,10 +89,6 @@ MONTH_NAMES = {
 }
 
 
-def _is_gregorian_leap(year: int) -> bool:
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-
-
 def _is_solar_hijri_leap(year: int) -> bool:
     """The 33-year arithmetic rule (Borkowski 1996, *Earth, Moon, and
     Planets* 74): 8 leap years in every 33.  It agrees with the astronomical
@@ -109,10 +106,7 @@ def _month_length(calendar: Calendar, year: int, month: int) -> int:
             return 30
         return 30 if _is_solar_hijri_leap(year) else 29
     if calendar is Calendar.GREGORIAN:
-        lengths = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
-        if month == 2 and _is_gregorian_leap(year):
-            return 29
-        return lengths[month - 1]
+        return monthrange(year, month)[1]
     return 30  # lunar months have 29 or 30 days
 
 

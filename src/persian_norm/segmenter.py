@@ -32,6 +32,11 @@ class VerbLexicon:
     def __post_init__(self):
         if not self.past_stems:
             raise ValueError("verb lexicon has no past stems")
+        # each stem + suffix, built once; a present form needs a prefix
+        object.__setattr__(self, "past_forms", frozenset(
+            s + x for s in self.past_stems for x in self.past_suffixes))
+        object.__setattr__(self, "present_forms", frozenset(
+            s + x for s in self.present_stems for x in ("", *self.present_suffixes)))
 
 
 def _lexicon_from_rows(lines: list[str]) -> VerbLexicon:
@@ -76,19 +81,8 @@ def _is_verb(token: str, lexicon: VerbLexicon) -> bool:
     if token in lexicon.full_forms or token in lexicon.auxiliaries:
         return True
     stemmed, has_present_prefix = _strip_prefix(token)
-    for candidate in {token, stemmed}:
-        for suffix in lexicon.past_suffixes:
-            if candidate.endswith(suffix):
-                stem = candidate[:len(candidate) - len(suffix)] if suffix else candidate
-                if stem in lexicon.past_stems:
-                    return True
-    if has_present_prefix:
-        for suffix in ("",) + lexicon.present_suffixes:
-            if stemmed.endswith(suffix):
-                stem = stemmed[:len(stemmed) - len(suffix)] if suffix else stemmed
-                if stem in lexicon.present_stems:
-                    return True
-    return False
+    return (token in lexicon.past_forms or stemmed in lexicon.past_forms
+            or has_present_prefix and stemmed in lexicon.present_forms)
 
 
 def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None) -> list[int]:

@@ -309,26 +309,23 @@ def expand_abbreviation(token: str) -> str:
 URL_PATH_LIMIT = 10
 
 
-_URL_WORDS = {style: table(f"url_words_{style}")
-              for style in ("latin", "persian")}
+# each separator spoken as its word, set off by spaces
+_URL_SEPARATORS = {
+    style: str.maketrans({ch: f" {word} "
+                          for ch, word in table(f"url_words_{style}").items()})
+    for style in ("latin", "persian")
+}
 
 
 def verbalize_url_email(raw: str, style: str = "latin") -> str:
     """Spell out URL/email separators; long URL paths are dropped."""
-    words = _URL_WORDS[style]
     m = re.match(r"(?P<scheme>[a-zA-Z]+)://(?P<rest>.*)", raw)
     if m:
         host, _, path = m.group("rest").partition("/")
         if path and (len(path) > URL_PATH_LIMIT or "%" in path):
             path = ""
         raw = m.group("scheme") + "://" + host + ("/" + path if path else "")
-    parts = []
-    for ch in raw:
-        if ch in words:
-            parts.append(" " + words[ch] + " ")
-        else:
-            parts.append(ch)
-    return re.sub(r"\s+", " ", "".join(parts)).strip()
+    return re.sub(r"\s+", " ", raw.translate(_URL_SEPARATORS[style])).strip()
 
 
 # --- the readings of each class --------------------------------------------
