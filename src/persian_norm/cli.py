@@ -92,11 +92,13 @@ def _lines(fh):
         yield from physical.splitlines()
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    """The ``key = value`` lines of a config file; raises ValueError on a
-    line without ``=`` or an unknown key or mode, as the parser rejects an
-    unknown flag or mode."""
-    values = {}
+def _load_config_file(path: str) -> dict:
+    """The ``key = value`` lines of a config file, ``seed`` and
+    ``template_index`` as ints and ``disable`` as a list of pass names;
+    raises ValueError, naming the file, on a line without ``=``, an unknown
+    key, mode or pass name, or a value that is not an integer, as the parser
+    rejects a bad flag."""
+    values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for ln in fh:
             ln = ln.strip()
@@ -113,6 +115,19 @@ def _load_config_file(path: str) -> dict[str, str]:
     if values.get("mode", "speech") not in _MODES:
         raise ValueError(f"{path}: invalid mode {values['mode']!r} "
                          f"(choose from {', '.join(_MODES)})")
+    for key in ("seed", "template_index"):
+        if key in values:
+            try:
+                values[key] = int(values[key])
+            except ValueError:
+                raise ValueError(f"{path}: {key} is not an integer: "
+                                 f"{values[key]!r}") from None
+    if "disable" in values:
+        values["disable"] = [name.strip() for name in values["disable"].split(",")]
+        for name in values["disable"]:
+            if name not in PASS_NAMES:
+                raise ValueError(f"{path}: unknown pass name in disable: {name!r} "
+                                 f"(choose from {', '.join(PASS_NAMES)})")
     return values
 
 
@@ -121,20 +136,17 @@ def _build_config(args) -> tuple[PipelineConfig, str]:
     file_values = _load_config_file(args.config) if args.config else {}
     mode = args.mode or file_values.get("mode", "speech")
     seed = args.seed
-    if seed is None and "seed" in file_values:
-        seed = int(file_values["seed"])
+    if seed is None:
+        seed = file_values.get("seed")
     index = args.template_index
-    if index is None and "template_index" in file_values:
-        index = int(file_values["template_index"])
+    if index is None:
+        index = file_values.get("template_index")
     if seed is not None:
         policy = SelectionPolicy.seeded(seed)
     else:
         policy = SelectionPolicy.fixed(index or 0)
-    disabled = set(args.disable)
-    if "disable" in file_values:
-        disabled |= {name.strip() for name in file_values["disable"].split(",")}
     config = PipelineConfig(policy=policy)
-    for name in disabled:
+    for name in {*args.disable, *file_values.get("disable", ())}:
         config = config.disable(name)
     return config, mode
 

@@ -237,3 +237,47 @@ def test_console_script_installed():
     import shutil
     exe = shutil.which("persian-norm")
     assert exe is not None
+
+
+@pytest.mark.parametrize("line, named", [
+    ("seed = abc", "seed"),
+    ("template_index = 1.5", "template_index"),
+])
+def test_config_file_integer_values_are_checked(tmp_path, capsys, line, named):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"mode = speech\n{line}\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 8:00\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ") and named in captured.err
+
+
+def test_config_file_integer_values_are_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("template_index = 2\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 11:35\n") == 0
+    from_file = capsys.readouterr().out
+    assert run(["normalize", "--template-index", "2"], stdin="ساعت 11:35\n") == 0
+    assert capsys.readouterr().out == from_file
+    assert run(["normalize"], stdin="ساعت 11:35\n") == 0
+    assert capsys.readouterr().out != from_file
+
+
+def test_config_file_disable_with_empty_name_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = general\ndisable = strip_emojis,\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="سلام 😀\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert "disable" in captured.err and "''" in captured.err
+
+
+def test_config_file_disable_with_unknown_name_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = general\ndisable = strip_emoji\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="سلام 😀\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert "disable" in captured.err and "'strip_emoji'" in captured.err
