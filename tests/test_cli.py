@@ -159,6 +159,44 @@ def test_config_file_line_without_equals_is_an_error(tmp_path, capsys):
     assert "'disable strip_emojis'" in captured.err
 
 
+@pytest.mark.parametrize("line, named", [
+    ("seed = abc", "seed"),
+    ("template_index = 1.5", "template_index"),
+])
+def test_config_file_integer_values_are_checked(tmp_path, capsys, line, named):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"mode = speech\n{line}\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 8:00\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ") and named in captured.err
+
+
+def test_config_file_integer_values_are_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("template_index = 2\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 11:35\n") == 0
+    from_file = capsys.readouterr().out
+    assert run(["normalize", "--template-index", "2"], stdin="ساعت 11:35\n") == 0
+    assert capsys.readouterr().out == from_file
+    assert run(["normalize"], stdin="ساعت 11:35\n") == 0
+    assert capsys.readouterr().out != from_file
+
+
+@pytest.mark.parametrize("names, named", [
+    ("strip_emojis,", "''"),
+    ("strip_emoji", "'strip_emoji'"),
+])
+def test_config_file_disable_names_are_checked(tmp_path, capsys, names, named):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"mode = general\ndisable = {names}\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="سلام 😀\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: ")
+    assert "disable" in captured.err and named in captured.err
+
+
 def test_split_command(capsys):
     assert run(["split"], stdin="هوا سرد بود. بچه‌ها ماندند.\n") == 0
     assert capsys.readouterr().out == "هوا سرد بود.\nبچه‌ها ماندند.\n"
@@ -237,47 +275,3 @@ def test_console_script_installed():
     import shutil
     exe = shutil.which("persian-norm")
     assert exe is not None
-
-
-@pytest.mark.parametrize("line, named", [
-    ("seed = abc", "seed"),
-    ("template_index = 1.5", "template_index"),
-])
-def test_config_file_integer_values_are_checked(tmp_path, capsys, line, named):
-    cfg = tmp_path / "cfg"
-    cfg.write_text(f"mode = speech\n{line}\n", encoding="utf-8")
-    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 8:00\n") == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {cfg}: ") and named in captured.err
-
-
-def test_config_file_integer_values_are_read(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("template_index = 2\n", encoding="utf-8")
-    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 11:35\n") == 0
-    from_file = capsys.readouterr().out
-    assert run(["normalize", "--template-index", "2"], stdin="ساعت 11:35\n") == 0
-    assert capsys.readouterr().out == from_file
-    assert run(["normalize"], stdin="ساعت 11:35\n") == 0
-    assert capsys.readouterr().out != from_file
-
-
-def test_config_file_disable_with_empty_name_is_an_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("mode = general\ndisable = strip_emojis,\n", encoding="utf-8")
-    assert run(["normalize", "--config", str(cfg)], stdin="سلام 😀\n") == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {cfg}: ")
-    assert "disable" in captured.err and "''" in captured.err
-
-
-def test_config_file_disable_with_unknown_name_is_an_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("mode = general\ndisable = strip_emoji\n", encoding="utf-8")
-    assert run(["normalize", "--config", str(cfg)], stdin="سلام 😀\n") == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {cfg}: ")
-    assert "disable" in captured.err and "'strip_emoji'" in captured.err
