@@ -59,7 +59,7 @@ _COMMON = {cp: cp for cp in (*range(0x80), *range(0x600, 0x700), 0x200C)}
 @functools.cache
 def composed_fold(passes: frozenset[str]) -> Callable[[str], str]:
     """The fold passes named in ``passes`` (other names are ignored) as one
-    function, built once per set of fold passes."""
+    function, built once per set of names."""
     tables = [tbl for name, tbl in FOLD_TABLES.items() if name in passes]
     # ``check_fold_order`` keeps every replacement clear of the surfaces of
     # its own and later tables, so a surface folds, through all the tables
