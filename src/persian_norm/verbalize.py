@@ -309,7 +309,6 @@ def expand_abbreviation(token: str) -> str:
 URL_PATH_LIMIT = 10
 
 
-# each separator spoken as its word, set off by spaces
 _URL_SEPARATORS = {
     style: str.maketrans({ch: f" {word} "
                           for ch, word in table(f"url_words_{style}").items()})
