@@ -267,14 +267,22 @@ def _time(m, text):
             {"hour": h, "minute": mi, "second": s})
 
 
+# The URL, email and Latin abbreviation rows open on one character class
+# too, before any alternation: ``re`` then tries them only at those
+# characters, not at every Persian letter.  A branch gates the first
+# character with a lookbehind (``(?<=h)ttps?`` is ``https?``); the scheme
+# and ``www`` branches check no character before it, so in "xhttp://a.com"
+# the URL starts at "h".
 _TLD = r"(?:com|org|net|ir|io|edu|gov|info|biz|co|uk|de|fr|me|tv|html)"
 _URL_PAT = re.compile(
-    r"(?:https?|ftp)://\S+"
-    r"|www\.\S+"
-    rf"|(?<![\w@.\-])(?:[A-Za-z0-9\-]+\.)+{_TLD}(?:/\S*)?"
+    r"[A-Za-z0-9\-](?:"
+    r"(?<=h)ttps?://\S+"
+    r"|(?<=f)tp://\S+"
+    r"|(?<=w)ww\.\S+"
+    rf"|(?<![\w@.\-].)[A-Za-z0-9\-]*\.(?:[A-Za-z0-9\-]+\.)*{_TLD}(?:/\S*)?"
     # ends neither inside a word, nor before "@" (an email's local part),
     # nor before a dot that goes on ("a.com.au", "a.info@b.com")
-    r"(?![\w@]|\.[\w@])",
+    r"(?![\w@]|\.[\w@]))",
 )
 
 
@@ -288,7 +296,8 @@ def _url(m, text):
 # a local part starts only where the previous character cannot extend it,
 # so each start in a run without "@" is tried once and the scan is linear
 _EMAIL_PAT = re.compile(
-    r"(?<![A-Za-z0-9._\-])[A-Za-z0-9._\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}"
+    r"[A-Za-z0-9._\-](?<![A-Za-z0-9._\-].)[A-Za-z0-9._\-]*"
+    r"@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}"
 )
 
 _SHEBA_PAT = re.compile(rf"IR{D}{{24}}(?!{D})")
@@ -306,11 +315,12 @@ _DIGIT_RUN_PAT = re.compile(rf"{D}+")
 def _digit_run(m, text):
     """Phone / card / national ID / long / plain classification of a digit run."""
     run = m.group(0)
-    left = text[max(0, m.start() - 20):m.start()]
-    right = text[m.end():m.end() + 20]
-    kind = classify_phone(run, left, right)
-    if kind is not None:
-        return SemioticClass.PHONE, m.start(), m.end(), {"kind": kind}
+    if len(run) in (8, 11):  # the only lengths ``classify_phone`` accepts
+        left = text[max(0, m.start() - 20):m.start()]
+        right = text[m.end():m.end() + 20]
+        kind = classify_phone(run, left, right)
+        if kind is not None:
+            return SemioticClass.PHONE, m.start(), m.end(), {"kind": kind}
     if len(run) == 16 and validate_card(run):
         cls = SemioticClass.CARD_NUMBER
     elif len(run) == 10 and validate_national_id(run):
@@ -376,9 +386,11 @@ _ABBREV_FA_PAT = re.compile(
     rf"(?<![{_FA}\w])(?:{alternation(ABBREV_FA).pattern})(?![{_FA}\w])"
 )
 
+# a letter not preceded by a word character: the ``\b`` of a word start
 _ABBREV_EN_PAT = re.compile(
-    r"\b[A-Za-z]{1,3}(?:\.[A-Za-z]{1,3})+\.?"   # dotted: Ph.D, U.S.A.
-    r"|\b[A-Z]{2,6}\b(?!\.[A-Za-z])"           # all-caps acronym: NASA
+    r"[A-Za-z](?<!\w[A-Za-z])(?:"
+    r"[A-Za-z]{0,2}(?:\.[A-Za-z]{1,3})+\.?"          # dotted: Ph.D, U.S.A.
+    r"|(?<=[A-Z])[A-Z]{1,5}\b(?!\.[A-Za-z]))"       # all-caps acronym: NASA
 )
 
 
@@ -459,6 +471,8 @@ def scan(text: str) -> list[SemioticSpan]:
     position, in time linear in the total length of the candidates.
     """
     present = set(_TRIGGER.findall(text))
+    if not present:
+        return []
     candidates = []
     for pattern, candidate, needs in _DETECTORS:
         for chars in needs:  # run the row only if the text meets every set

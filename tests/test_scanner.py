@@ -19,12 +19,16 @@ from persian_norm import (
 )
 from persian_norm.scanner import (
     D,
+    _ABBREV_EN_PAT,
     _DATE_PAT,
     _DECIMAL_PAT,
     _DETECTORS,
     _DIGITS,
+    _EMAIL_PAT,
     _FRACTION_PAT,
     _TIME_PAT,
+    _TLD,
+    _URL_PAT,
     _resolve,
     _table_needs,
 )
@@ -493,3 +497,124 @@ def test_digit_row_never_starts_after_a_digit(pattern, body, cls, digit):
     assert all(text[m.start() - 1] not in _DIGITS
                for m in pattern.finditer(text))
     assert not any(s.start == 5 and s.cls is cls for s in scan(text))
+
+
+# the URL, email and Latin abbreviation rows written the plain way, with the
+# check on the previous character first; the rows that open on a character
+# class must find the same matches
+_REFERENCE_PATS = {
+    _URL_PAT: re.compile(
+        r"(?:https?|ftp)://\S+"
+        r"|www\.\S+"
+        rf"|(?<![\w@.\-])(?:[A-Za-z0-9\-]+\.)+{_TLD}(?:/\S*)?"
+        r"(?![\w@]|\.[\w@])"
+    ),
+    _EMAIL_PAT: re.compile(
+        r"(?<![A-Za-z0-9._\-])[A-Za-z0-9._\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}"
+    ),
+    _ABBREV_EN_PAT: re.compile(
+        r"\b[A-Za-z]{1,3}(?:\.[A-Za-z]{1,3})+\.?"
+        r"|\b[A-Z]{2,6}\b(?!\.[A-Za-z])"
+    ),
+}
+
+
+def _spans(pattern, text):
+    return [m.span() for m in pattern.finditer(text)]
+
+
+def test_leading_class_rows_match_their_reference():
+    texts = _fuzz_lines(20000) + _MIXED_LINES + criterion_7_corpus()[0]
+    texts += [normalize_general(t) for t in texts]
+    for pattern, reference in _REFERENCE_PATS.items():
+        for text in texts:
+            assert _spans(pattern, text) == _spans(reference, text), \
+                (pattern.pattern[:30], text)
+
+
+# the rows that open on a Latin character class, each with a text it matches
+# whole, the characters that may not come right before a match and the class
+# of its span
+_LATIN_ROWS = [
+    (_URL_PAT, "a.com", "x_.@-ب", SemioticClass.URL),
+    (_URL_PAT, "http://a.com", "", SemioticClass.URL),
+    (_URL_PAT, "www.a.com", "", SemioticClass.URL),
+    (_EMAIL_PAT, "a@b.com", "x_.-", SemioticClass.EMAIL),
+    (_ABBREV_EN_PAT, "Ph.D", "x_ب", SemioticClass.ABBREV_EN),
+    (_ABBREV_EN_PAT, "NASA", "x_ب", SemioticClass.ABBREV_EN),
+]
+
+
+@pytest.mark.parametrize("pattern, body, before, cls", _LATIN_ROWS,
+                         ids=[row[1] for row in _LATIN_ROWS])
+def test_latin_row_span_at_offset_zero(pattern, body, before, cls):
+    assert pattern.match(body).group(0) == body
+    assert [(s.start, s.end, s.cls) for s in scan(body + " بود")] == \
+        [(0, len(body), cls)]
+
+
+@pytest.mark.parametrize("prev", list("x_.@-ب"))
+@pytest.mark.parametrize("pattern, body, before, cls", _LATIN_ROWS,
+                         ids=[row[1] for row in _LATIN_ROWS])
+def test_latin_row_start_after_a_character(pattern, body, before, cls, prev):
+    text = f"عدد {prev}{body} بود"
+    spans = _spans(pattern, text)
+    assert spans == _spans(_REFERENCE_PATS[pattern], text)
+    if prev in before:
+        assert all(start != 5 for start, _ in spans)
+    else:  # a match starts at the body or, where it may, on ``prev``
+        assert any(start <= 5 and 5 + len(body) <= end for start, end in spans)
+
+
+def test_scheme_url_starts_inside_a_word():
+    assert [(s.start, s.cls) for s in scan("xhttp://a.com")] == \
+        [(1, SemioticClass.URL)]
+
+
+def test_acronym_inside_a_word_is_no_abbreviation():
+    assert scan("aNASA") == []
+    assert _spans(_ABBREV_EN_PAT, "aNASA") == []
+
+
+@pytest.mark.parametrize("abbrev", ["Ph.D", "U.S.A."])
+@pytest.mark.parametrize("prefix", ["", "،"])
+def test_dotted_abbreviation_at_start_and_after_comma(abbrev, prefix):
+    text = prefix + abbrev
+    assert classes(text) == [(SemioticClass.ABBREV_EN, abbrev)]
+    assert _spans(_ABBREV_EN_PAT, text) == \
+        _spans(_REFERENCE_PATS[_ABBREV_EN_PAT], text)
+
+
+# a digit run is read as a phone only at 8 digits with a cue word within 20
+# characters of it, or at 11 digits with a mobile or area-code prefix
+@pytest.mark.parametrize("text", ["تلفن 22334455", "22334455 تلفن"])
+def test_eight_digits_by_a_cue_are_a_phone(text):
+    spans = scan(text)
+    assert [(s.cls, s.raw) for s in spans] == \
+        [(SemioticClass.PHONE, "22334455")]
+    assert spans[0].data == {"kind": PhoneKind.LANDLINE}
+
+
+def test_bare_eight_digits_are_a_plain_number():
+    assert classes("22334455") == [(SemioticClass.PLAIN_NUMBER, "22334455")]
+
+
+@pytest.mark.parametrize("gap, cls", [
+    (16, SemioticClass.PHONE), (17, SemioticClass.PLAIN_NUMBER),
+])
+def test_phone_cue_window_is_20_characters(gap, cls):
+    # the cue starts 20 (gap 16) or 21 (gap 17) characters before the run,
+    # or ends that far after it
+    spaces = " " * gap
+    for text in (f"تلفن{spaces}22334455", f"22334455{spaces}تلفن"):
+        assert classes(text) == [(cls, "22334455")], gap
+
+
+@pytest.mark.parametrize("run, cls", [
+    ("0523924984", SemioticClass.NATIONAL_ID),
+    ("6104337852441441", SemioticClass.CARD_NUMBER),
+    ("09397796915", SemioticClass.PHONE),
+    ("02123456789", SemioticClass.PHONE),
+])
+def test_digit_run_classes_by_length(run, cls):
+    assert classes(f"شماره {run} است") == [(cls, run)]
