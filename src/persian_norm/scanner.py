@@ -8,10 +8,9 @@ text and returns typed, non-overlapping spans for the verbalizers.
 from __future__ import annotations
 
 import re
-from calendar import monthrange
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
+from operator import itemgetter
 from string import ascii_letters
 
 from .resources import alternation, table
@@ -55,7 +54,7 @@ class SemioticClass(Enum):
 
 
 _PRIORITY_INDEX = {cls: i for i, cls in enumerate(SemioticClass)}
-_BY_START = attrgetter("start")
+_BY_START = itemgetter(1)
 
 
 class Calendar(Enum):
@@ -106,7 +105,10 @@ def _month_length(calendar: Calendar, year: int, month: int) -> int:
             return 30
         return 30 if _is_solar_hijri_leap(year) else 29
     if calendar is Calendar.GREGORIAN:
-        return monthrange(year, month)[1]
+        if month == 2:
+            leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+            return 29 if leap else 28
+        return 30 if month in (4, 6, 9, 11) else 31
     return 30  # lunar months have 29 or 30 days
 
 
@@ -309,11 +311,16 @@ def _sheba(m, text):
     return SemioticClass.SHEBA, m.start(), m.end(), {}
 
 
-_DIGIT_RUN_PAT = re.compile(rf"{D}+")
+# a whole digit run of a length some check below can claim: 8 or 11 digits
+# (phone), 10 (national ID), 16 (card) or 16 and more (long number)
+_DIGIT_RUN_PAT = re.compile(
+    rf"{D}(?<!{D}{D})(?:{D}{{7}}|{D}{{9,10}}|{D}{{15,}})(?!{D})"
+)
 
 
 def _digit_run(m, text):
-    """Phone / card / national ID / long / plain classification of a digit run."""
+    """Phone / card / national ID / long number classification of a digit
+    run; None when no check claims it (``scan`` reads it as a plain number)."""
     run = m.group(0)
     if len(run) in (8, 11):  # the only lengths ``classify_phone`` accepts
         left = text[max(0, m.start() - 20):m.start()]
@@ -328,7 +335,7 @@ def _digit_run(m, text):
     elif len(run) > 15:
         cls = SemioticClass.LONG_NUMBER
     else:
-        cls = SemioticClass.PLAIN_NUMBER
+        return None
     return cls, m.start(), m.end(), {}
 
 
@@ -415,12 +422,22 @@ def _table_needs(tbl, chars: str | None = None) -> frozenset:
     return needs
 
 
+def _dotless(tbl):
+    """``tbl``; raises ValueError if a surface holds a dot.  A span of a
+    symbol row then never holds one, which ``_dotted_intervals`` relies on."""
+    for surface in tbl:
+        if "." in surface:
+            raise ValueError(f"table surface {surface!r} holds a dot")
+    return tbl
+
+
 _CURRENCY_CHARS = _table_needs(CURRENCIES)
 
 # (pattern, candidate, needs): every match of the pattern holds at least one
-# character of each set in ``needs``, so ``scan`` skips the row when the
-# text lacks every character of one of them
-_DETECTORS = [
+# character of each set in ``needs``, so a row is skipped when the text lacks
+# every character of one of them.  These rows find every class up to
+# ABBREV_FA; no row finds PLAIN_NUMBER, which ``scan`` adds last
+_RANKED_ROWS = [
     (_URL_PAT, _url, _needs(".:", ascii_letters)),
     (_EMAIL_PAT, _whole_match(SemioticClass.EMAIL), _needs("@")),
     (_SHEBA_PAT, _sheba, _needs("I", _DIGITS)),
@@ -434,10 +451,14 @@ _DETECTORS = [
      _needs(ascii_letters)),
     (_ABBREV_FA_PAT, _whole_match(SemioticClass.ABBREV_FA),
      _needs(_table_needs(ABBREV_FA, ".("))),
+]
+# every row: the ranked rows, then the MATH_SYMBOL and SYMBOL rows, whose
+# spans hold no dot
+_DETECTORS = _RANKED_ROWS + [
     (_FRACTION_PAT, _fraction, _needs("/", _DIGITS)),
-    (alternation(SYMBOLS), _whole_match(SemioticClass.SYMBOL),
+    (alternation(_dotless(SYMBOLS)), _whole_match(SemioticClass.SYMBOL),
      _needs(_table_needs(SYMBOLS))),
-    (alternation(MATH_SYMBOLS), _whole_match(SemioticClass.MATH_SYMBOL),
+    (alternation(_dotless(MATH_SYMBOLS)), _whole_match(SemioticClass.MATH_SYMBOL),
      _needs(_table_needs(MATH_SYMBOLS))),
 ]
 
@@ -447,34 +468,17 @@ _TRIGGER = re.compile("[" + re.escape("".join(sorted(
     frozenset().union(*(chars for _, _, needs in _DETECTORS for chars in needs))
 ))) + "]")
 
-
-def _resolve(candidates, text: str) -> list[SemioticSpan]:
-    """Accept, in order, each candidate overlapping none accepted before."""
-    covered = bytearray(len(text))
-    accepted = []
-    for cls, start, end, data in candidates:
-        if covered.find(1, start, end) == -1:
-            covered[start:end] = b"\1" * (end - start)
-            accepted.append(SemioticSpan(start=start, end=end, cls=cls,
-                                         raw=text[start:end], data=data))
-    accepted.sort(key=_BY_START)
-    return accepted
+# a maximal digit run: a plain number wherever no other span covers a digit
+_NUMBER_PAT = re.compile(rf"{D}+")
+_DIGIT_SET = frozenset(_DIGITS)
 
 
-def scan(text: str) -> list[SemioticSpan]:
-    """Return all maximal non-overlapping semiotic spans, sorted by start.
-
-    Only the ``_DETECTORS`` rows whose ``needs`` the text meets are run: a
-    row is skipped when the text holds no character of one of its sets, as
-    none of its matches could then occur.  Overlaps are resolved by class
-    priority (the order of ``SemioticClass``), then by match length, then by
-    position, in time linear in the total length of the candidates.
-    """
-    present = set(_TRIGGER.findall(text))
-    if not present:
-        return []
+def _candidates(text: str, present: set, rows) -> list[tuple]:
+    """The candidates of the ``rows`` whose ``needs`` the ``present``
+    characters meet, in resolution order: by class priority (the order of
+    ``SemioticClass``), then longest first, then by position."""
     candidates = []
-    for pattern, candidate, needs in _DETECTORS:
+    for pattern, candidate, needs in rows:
         for chars in needs:  # run the row only if the text meets every set
             if present.isdisjoint(chars):
                 break
@@ -486,4 +490,58 @@ def scan(text: str) -> list[SemioticSpan]:
     candidates.sort(
         key=lambda c: (_PRIORITY_INDEX[c[0]], -(c[2] - c[1]), c[1])
     )
-    return _resolve(candidates, text)
+    return candidates
+
+
+def _resolve(candidates, text: str) -> tuple[list[tuple], bytearray]:
+    """Accept, in order, each candidate ``(cls, start, end, data)``
+    overlapping none accepted before.  Returns the accepted candidates in
+    that order and the mask of the characters of ``text`` they cover."""
+    covered = bytearray(len(text))
+    accepted = []
+    for c in candidates:
+        _, start, end, _ = c
+        if covered.find(1, start, end) == -1:
+            covered[start:end] = b"\1" * (end - start)
+            accepted.append(c)
+    return accepted, covered
+
+
+def scan(text: str) -> list[SemioticSpan]:
+    """Return all maximal non-overlapping semiotic spans, sorted by start.
+
+    Only the ``_DETECTORS`` rows whose ``needs`` the text meets are run: a
+    row is skipped when the text holds no character of one of its sets, as
+    none of its matches could then occur.  Overlaps are resolved by class
+    priority (the order of ``SemioticClass``), then by match length, then by
+    position, in time linear in the total length of the candidates.  A
+    maximal digit run that no span covers any of is a PLAIN_NUMBER, the last
+    class: such runs never overlap one another.
+    """
+    present = set(_TRIGGER.findall(text))
+    if not present:
+        return []
+    accepted, covered = _resolve(_candidates(text, present, _DETECTORS), text)
+    if not present.isdisjoint(_DIGIT_SET):
+        for m in _NUMBER_PAT.finditer(text):
+            start, end = m.span()
+            if covered.find(1, start, end) == -1:
+                accepted.append((SemioticClass.PLAIN_NUMBER, start, end, {}))
+    accepted.sort(key=_BY_START)
+    return [SemioticSpan(start=start, end=end, cls=cls,
+                         raw=text[start:end], data=data)
+            for cls, start, end, data in accepted]
+
+
+def _dotted_intervals(text: str) -> list[tuple[int, int]]:
+    """The ``(start, end)`` of every span of ``scan(text)`` that holds a
+    dot, in no particular order.
+
+    Only the ``_RANKED_ROWS`` are run.  Their candidates come first in
+    resolution order, so no later row changes which of them win, and no
+    span of a later class holds a dot.
+    """
+    present = set(_TRIGGER.findall(text))
+    accepted, _ = _resolve(_candidates(text, present, _RANKED_ROWS), text)
+    return [(start, end) for _, start, end, _ in accepted
+            if text.find(".", start, end) != -1]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .numwords import ZWNJ
 from .resources import rows
-from .scanner import _DATE_PAT, scan
+from .scanner import _DATE_PAT, _dotted_intervals
+from .scanner import scan  # unused here; perfbench/tracing.py wraps segmenter.scan
 
 TERMINAL_MARKS = ".!?؟"
 DEFAULT_VERB_SPLIT_THRESHOLD = 30
@@ -103,7 +104,7 @@ def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
     a dot has none, and is not scanned."""
     if "." not in text:
         return []
-    intervals = [(span.start, span.end) for span in scan(text) if "." in span.raw]
+    intervals = _dotted_intervals(text)
     intervals += [m.span() for m in _DATE_PAT.finditer(text) if m.group(2) == "."]
     merged: list[tuple[int, int]] = []
     for start, end in sorted(intervals):

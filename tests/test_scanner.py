@@ -1,9 +1,13 @@
 import random
 import re
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import persian_norm
 from persian_norm import (
     Calendar,
     CalendarDate,
@@ -23,15 +27,19 @@ from persian_norm.scanner import (
     _DATE_PAT,
     _DECIMAL_PAT,
     _DETECTORS,
+    _DIGIT_RUN_PAT,
     _DIGITS,
     _EMAIL_PAT,
     _FRACTION_PAT,
+    _PRIORITY_INDEX,
     _TIME_PAT,
     _TLD,
     _URL_PAT,
+    _dotless,
     _resolve,
     _table_needs,
 )
+from persian_norm.segmenter import protect_non_terminal_dots
 from test_acceptance import criterion_7_corpus
 from test_segmenter import _MIXED_LINES
 
@@ -342,6 +350,16 @@ def test_gregorian_month_lengths_follow_the_4_100_400_rule():
                     (1 <= day <= length), (year, month, day)
 
 
+def test_import_loads_no_datetime_or_locale():
+    src = str(Path(persian_norm.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+            "import persian_norm; print(sorted({'calendar', 'datetime', 'locale'} "
+            "& (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_gregorian_feb_29_in_century_and_leap_years():
     assert not _accepts(Calendar.GREGORIAN, 1900, 2, 29)
     assert _accepts(Calendar.GREGORIAN, 2000, 2, 29)
@@ -416,8 +434,10 @@ def test_resolve_matches_pairwise_greedy():
     for _ in range(2000):
         text = "".join(rng.choice("12:/. ابپ") for _ in range(rng.randrange(1, 40)))
         candidates = _random_candidates(rng, len(text))
-        spans = _resolve(candidates, text)
-        assert [(s.start, s.end, s.cls, s.raw, s.data) for s in spans] == \
+        accepted, _ = _resolve(candidates, text)
+        spans = sorted(accepted, key=lambda c: c[1])
+        assert [(start, end, cls, text[start:end], data)
+                for cls, start, end, data in spans] == \
             _pairwise_greedy(candidates, text), candidates
 
 
@@ -471,6 +491,14 @@ def test_table_surface_without_row_characters_raises():
     with pytest.raises(ValueError, match="رک"):
         _table_needs(tbl, ".(")
     assert _table_needs(tbl) == {"ر"}
+
+
+def test_table_surface_with_a_dot_raises():
+    tbl = {"%": "درصد", "a.b": "آ ب"}
+    with pytest.raises(ValueError, match="a.b"):
+        _dotless(tbl)
+    del tbl["a.b"]
+    assert _dotless(tbl) is tbl
 
 
 # the rows that open on a digit not preceded by one, each with a text it
@@ -618,3 +646,105 @@ def test_phone_cue_window_is_20_characters(gap, cls):
 ])
 def test_digit_run_classes_by_length(run, cls):
     assert classes(f"شماره {run} است") == [(cls, run)]
+
+
+# the reference resolution: every maximal digit run is a candidate (a
+# PLAIN_NUMBER when no check claims it), every row runs on every text, one
+# sort, and the splitter keeps the spans that hold a dot; ``scan`` and
+# ``protect_non_terminal_dots`` must agree with it
+_REFERENCE_DIGIT_RUN_PAT = re.compile(rf"{D}+")
+
+
+def _reference_digit_run(m, text):
+    run = m.group(0)
+    if len(run) in (8, 11):
+        left = text[max(0, m.start() - 20):m.start()]
+        right = text[m.end():m.end() + 20]
+        kind = classify_phone(run, left, right)
+        if kind is not None:
+            return SemioticClass.PHONE, m.start(), m.end(), {"kind": kind}
+    if len(run) == 16 and validate_card(run):
+        cls = SemioticClass.CARD_NUMBER
+    elif len(run) == 10 and validate_national_id(run):
+        cls = SemioticClass.NATIONAL_ID
+    elif len(run) > 15:
+        cls = SemioticClass.LONG_NUMBER
+    else:
+        cls = SemioticClass.PLAIN_NUMBER
+    return cls, m.start(), m.end(), {}
+
+
+_REFERENCE_ROWS = [
+    (_REFERENCE_DIGIT_RUN_PAT, _reference_digit_run)
+    if pattern is _DIGIT_RUN_PAT else (pattern, candidate)
+    for pattern, candidate, _ in _DETECTORS
+]
+
+
+def _reference_scan(text):
+    candidates = []
+    for pattern, candidate in _REFERENCE_ROWS:
+        for m in pattern.finditer(text):
+            c = candidate(m, text)
+            if c is not None:
+                candidates.append(c)
+    candidates.sort(key=lambda c: (_PRIORITY_INDEX[c[0]], -(c[2] - c[1]), c[1]))
+    covered = bytearray(len(text))
+    accepted = []
+    for cls, start, end, data in candidates:
+        if covered.find(1, start, end) == -1:
+            covered[start:end] = b"\1" * (end - start)
+            accepted.append((start, end, cls, text[start:end], repr(data)))
+    return sorted(accepted, key=lambda s: s[0])
+
+
+def _reference_protect(text):
+    if "." not in text:
+        return []
+    intervals = [(start, end) for start, end, _, raw, _ in _reference_scan(text)
+                 if "." in raw]
+    intervals += [m.span() for m in _DATE_PAT.finditer(text) if m.group(2) == "."]
+    merged = []
+    for start, end in sorted(intervals):
+        if merged and start < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(end, merged[-1][1]))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+def _assert_matches_reference(texts):
+    for text in texts:
+        assert [(s.start, s.end, s.cls, s.raw, repr(s.data)) for s in scan(text)] \
+            == _reference_scan(text), text
+        assert protect_non_terminal_dots(text) == _reference_protect(text), text
+
+
+def test_scan_and_dot_protection_match_the_reference():
+    texts = _fuzz_lines(20000) + _MIXED_LINES + criterion_7_corpus()[0]
+    _assert_matches_reference(texts + [normalize_general(t) for t in texts])
+
+
+_TO_PERSIAN = str.maketrans("0123456789", "۰۱۲۳۴۵۶۷۸۹")
+
+
+def _digit_runs():
+    """Runs of 7-17 digits: mobile, area-code and other prefixes, one digit
+    repeated, and national IDs and cards with valid and invalid checksums."""
+    runs = {"0523924984", "0523924985", "6104337852441441", "6104337852441442"}
+    for n in range(7, 18):
+        runs |= {("09" + "1234567890" * 2)[:n], ("021" + "5" * 20)[:n],
+                 "7" * n, "".join(str(i * 7 % 10) for i in range(n))}
+    return sorted(runs | {r.translate(_TO_PERSIAN) for r in runs})
+
+
+_DIGIT_RUN_SHAPES = [
+    "{}", "شماره {} است", "تلفن {}", "{} تلفن", "شماره {}.5 است.",
+    "عدد 3.{} بود.", "{}.{}", "IR{}", "{}$", "ساعت 1:{}", "تاریخ 1400.01.{}",
+]
+
+
+def test_digit_runs_match_the_reference():
+    texts = [shape.format(*[run] * shape.count("{}"))
+             for run in _digit_runs() for shape in _DIGIT_RUN_SHAPES]
+    _assert_matches_reference(texts + [normalize_general(t) for t in texts])
