@@ -29,7 +29,6 @@ from .segmenter import (
 from .verbalize import SelectionPolicy
 
 
-_MODES = ("general", "speech")
 _CONFIG_KEYS = ("mode", "seed", "template_index", "disable")
 
 
@@ -42,20 +41,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Policy(argparse.Action):
+    """Stores ``const(value)``, a ``SelectionPolicy``: ``--seed`` and
+    ``--template-index`` share the dest ``policy``, so the one parsed last
+    wins."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, self.const(value))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="persian-norm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     norm = sub.add_parser("normalize", help="run a normalization pipeline")
-    norm.add_argument("--mode", choices=_MODES, default=None)
-    norm.add_argument("--seed", type=int, default=None,
-                      help="seeded-random template selection")
-    norm.add_argument("--template-index", type=int, default=None,
-                      help="fixed template selection index")
+    # ``parser`` is the parser that checks the lines of a --config file
+    norm.set_defaults(parser=norm, policy=SelectionPolicy.fixed())
+    norm.add_argument("--mode", choices=("general", "speech"), default="speech")
+    policy = norm.add_mutually_exclusive_group()
+    policy.add_argument("--seed", type=int, action=_Policy, dest="policy",
+                        const=SelectionPolicy.seeded, metavar="N",
+                        help="seeded-random template selection")
+    policy.add_argument("--template-index", type=int, action=_Policy,
+                        dest="policy", const=SelectionPolicy.fixed, metavar="N",
+                        help="fixed template selection index")
     norm.add_argument("--disable", action="append", default=[],
-                      metavar="PASS", help=f"disable a pass ({', '.join(PASS_NAMES)})")
+                      choices=PASS_NAMES, metavar="PASS",
+                      help="disable a pass (%(choices)s)")
     norm.add_argument("--enumerate", action="store_true", dest="enumerate_all",
-                      help="print every possible verbalization per line")
+                      help="print every speech verbalization per line")
     norm.add_argument("--out", default=None, help="output file (default stdout)")
     norm.add_argument("--config", default=None,
                       help="key=value config file; CLI flags override it")
@@ -92,13 +106,14 @@ def _lines(fh):
         yield from physical.splitlines()
 
 
-def _load_config_file(path: str) -> dict:
-    """The ``key = value`` lines of a config file, ``seed`` and
-    ``template_index`` as ints and ``disable`` as a list of pass names;
-    raises ValueError, naming the file, on a line without ``=``, an unknown
-    key, mode or pass name, or a value that is not an integer, as the parser
-    rejects a bad flag."""
-    values: dict = {}
+def _read_config_file(norm: _Parser, path: str) -> None:
+    """Makes the ``key = value`` lines of a config file the defaults of
+    ``norm``, each line parsed as the flag it stands for (``disable = a, b``
+    as ``--disable a --disable b``), so that flags on the command line win
+    and ``disable`` lines add up. Raises ValueError, naming the file, on a
+    line without ``=`` or with an unknown key, and, naming the key too, on a
+    value the flag would not take."""
+    values = norm.parse_args([])
     with open(path, encoding="utf-8") as fh:
         for ln in fh:
             ln = ln.strip()
@@ -111,53 +126,26 @@ def _load_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}: unknown config key {key!r} "
                                  f"(choose from {', '.join(_CONFIG_KEYS)})")
-            values[key] = value.strip()
-    if values.get("mode", "speech") not in _MODES:
-        raise ValueError(f"{path}: invalid mode {values['mode']!r} "
-                         f"(choose from {', '.join(_MODES)})")
-    for key in ("seed", "template_index"):
-        if key in values:
+            flag = "--" + key.replace("_", "-")
+            items = value.split(",") if key == "disable" else [value]
             try:
-                values[key] = int(values[key])
-            except ValueError:
-                raise ValueError(f"{path}: {key} is not an integer: "
-                                 f"{values[key]!r}") from None
-    if "disable" in values:
-        values["disable"] = [name.strip() for name in values["disable"].split(",")]
-        for name in values["disable"]:
-            if name not in PASS_NAMES:
-                raise ValueError(f"{path}: unknown pass name in disable: {name!r} "
-                                 f"(choose from {', '.join(PASS_NAMES)})")
-    return values
-
-
-def _build_config(args) -> tuple[PipelineConfig, str]:
-    """The pipeline config and the mode ("general" or "speech")."""
-    file_values = _load_config_file(args.config) if args.config else {}
-    mode = args.mode or file_values.get("mode", "speech")
-    seed = args.seed
-    if seed is None:
-        seed = file_values.get("seed")
-    index = args.template_index
-    if index is None:
-        index = file_values.get("template_index")
-    if seed is not None:
-        policy = SelectionPolicy.seeded(seed)
-    else:
-        policy = SelectionPolicy.fixed(index or 0)
-    config = PipelineConfig(policy=policy)
-    for name in {*args.disable, *file_values.get("disable", ())}:
-        config = config.disable(name)
-    return config, mode
+                norm.parse_args([f"{flag}={item.strip()}" for item in items],
+                                values)
+            except (_UsageError, ValueError) as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
+    norm.set_defaults(**vars(values))
 
 
 def _cmd_normalize(args) -> int:
-    config, mode = _build_config(args)
-    normalize = normalize_general if mode == "general" else normalize_speech
+    config = PipelineConfig(
+        enabled_passes=frozenset(PASS_NAMES).difference(args.disable),
+        policy=args.policy)
+    speech = args.mode == "speech"
+    normalize = normalize_speech if speech else normalize_general
     # the input opens first, so an unreadable one creates no output file
     with _open_input(args.input) as src, _open_output(args.out) as out:
         for line in _lines(src):
-            if args.enumerate_all:
+            if args.enumerate_all and speech:
                 for verbalization in enumerate_verbalizations(line, config):
                     out.write(verbalization + "\n")
             else:
@@ -229,11 +217,13 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            _read_config_file(args.parser, args.config)
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2

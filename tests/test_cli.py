@@ -102,6 +102,14 @@ def test_normalize_enumerate(capsys):
     assert len(lines) == len(set(lines))
 
 
+def test_normalize_general_enumerate_prints_the_general_line(capsys):
+    text = "ساعت 11:35 ⑥\n"
+    assert run(["normalize", "--mode", "general"], stdin=text) == 0
+    general = capsys.readouterr().out
+    assert run(["normalize", "--mode", "general", "--enumerate"], stdin=text) == 0
+    assert capsys.readouterr().out == general == "ساعت ۱۱:۳۵ ۶\n"
+
+
 def test_normalize_disable_pass(capsys):
     assert run(["normalize", "--mode", "general",
                 "--disable", "strip_emojis"], stdin="سلام 😀\n") == 0
@@ -121,6 +129,43 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     assert run(["normalize", "--config", str(cfg), "--mode", "speech"],
                stdin="ساعت 8:00\n") == 0
     assert capsys.readouterr().out == "ساعت هشت\n"
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("seed = 3", ["--template-index", "1"]),
+    ("template_index = 1", ["--seed", "3"]),
+])
+def test_cli_policy_flag_replaces_config_policy(tmp_path, capsys, line, flags):
+    text = "1397/7/9 09121234567\n"
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg), *flags], stdin=text) == 0
+    combined = capsys.readouterr().out
+    assert run(["normalize", *flags], stdin=text) == 0
+    assert combined == capsys.readouterr().out
+    assert run(["normalize", "--config", str(cfg)], stdin=text) == 0
+    assert combined != capsys.readouterr().out
+
+
+def test_seed_and_template_index_are_exclusive(capsys):
+    assert run(["normalize", "--seed", "3", "--template-index", "1"],
+               stdin="ساعت 8:00\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert "--seed" in captured.err and "--template-index" in captured.err
+
+
+@pytest.mark.parametrize("lines, flags", [
+    ("disable = strip_emojis\ndisable = fold_digits\n", []),
+    ("disable = strip_emojis\n", ["--disable", "fold_digits"]),
+])
+def test_config_file_disable_lines_add_up(tmp_path, capsys, lines, flags):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = general\n" + lines, encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg), *flags],
+               stdin="عدد 6 😀\n") == 0
+    assert capsys.readouterr().out == "عدد 6 😀\n"
 
 
 def test_config_file_mode_is_checked(tmp_path, capsys):
@@ -162,6 +207,7 @@ def test_config_file_line_without_equals_is_an_error(tmp_path, capsys):
 @pytest.mark.parametrize("line, named", [
     ("seed = abc", "seed"),
     ("template_index = 1.5", "template_index"),
+    ("template_index = -1", "template_index"),
 ])
 def test_config_file_integer_values_are_checked(tmp_path, capsys, line, named):
     cfg = tmp_path / "cfg"
@@ -195,6 +241,13 @@ def test_config_file_disable_names_are_checked(tmp_path, capsys, names, named):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {cfg}: ")
     assert "disable" in captured.err and named in captured.err
+
+
+def test_unknown_disable_flag_is_a_usage_error(capsys):
+    assert run(["normalize", "--disable", "bogus"], stdin="سلام\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and "'bogus'" in captured.err
 
 
 def test_split_command(capsys):
