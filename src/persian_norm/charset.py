@@ -128,8 +128,3 @@ def strip_emojis(text: str) -> str:
     if _EMOJI_GUARD.search(text):
         text = _EMOJI_PAT.sub("", text)
     return _SPACES.sub(" ", text).strip()
-
-
-def is_emoji_char(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)

@@ -34,6 +34,7 @@ class PipelineConfig:
         unknown = set(self.enabled_passes) - set(PASS_NAMES)
         if unknown:
             raise ValueError(f"unknown pass names: {sorted(unknown)}")
+        object.__setattr__(self, "enabled_passes", frozenset(self.enabled_passes))
 
     def disable(self, name: str) -> "PipelineConfig":
         if name not in PASS_NAMES:

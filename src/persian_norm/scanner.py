@@ -33,27 +33,6 @@ def ascii_digits(s: str) -> str:
     return s.translate(_TO_ASCII)
 
 
-# members are declared in overlap resolution order, highest priority first
-class SemioticClass(Enum):
-    URL = "URL"
-    EMAIL = "EMAIL"
-    SHEBA = "SHEBA"
-    DATE = "DATE"
-    TIME = "TIME"
-    PHONE = "PHONE"
-    CARD_NUMBER = "CARD_NUMBER"
-    NATIONAL_ID = "NATIONAL_ID"
-    DECIMAL = "DECIMAL"
-    LONG_NUMBER = "LONG_NUMBER"
-    CURRENCY = "CURRENCY"
-    ABBREV_EN = "ABBREV_EN"
-    ABBREV_FA = "ABBREV_FA"
-    MATH_SYMBOL = "MATH_SYMBOL"
-    SYMBOL = "SYMBOL"
-    PLAIN_NUMBER = "PLAIN_NUMBER"
-
-
-_PRIORITY_INDEX = {cls: i for i, cls in enumerate(SemioticClass)}
 _BY_START = itemgetter(1)
 
 
@@ -401,10 +380,6 @@ _ABBREV_EN_PAT = re.compile(
 )
 
 
-def _whole_match(cls):
-    return lambda m, text: (cls, m.start(), m.end(), {})
-
-
 def _needs(*chars: str) -> tuple[frozenset, ...]:
     return tuple(frozenset(c) for c in chars)
 
@@ -424,7 +399,7 @@ def _table_needs(tbl, chars: str | None = None) -> frozenset:
 
 def _dotless(tbl):
     """``tbl``; raises ValueError if a surface holds a dot.  A span of a
-    symbol row then never holds one, which ``_dotted_intervals`` relies on."""
+    symbol row then never holds one, as its class declares."""
     for surface in tbl:
         if "." in surface:
             raise ValueError(f"table surface {surface!r} holds a dot")
@@ -433,34 +408,61 @@ def _dotless(tbl):
 
 _CURRENCY_CHARS = _table_needs(CURRENCIES)
 
-# (pattern, candidate, needs): every match of the pattern holds at least one
-# character of each set in ``needs``, so a row is skipped when the text lacks
-# every character of one of them.  These rows find every class up to
-# ABBREV_FA; no row finds PLAIN_NUMBER, which ``scan`` adds last
-_RANKED_ROWS = [
-    (_URL_PAT, _url, _needs(".:", ascii_letters)),
-    (_EMAIL_PAT, _whole_match(SemioticClass.EMAIL), _needs("@")),
-    (_SHEBA_PAT, _sheba, _needs("I", _DIGITS)),
-    (_DATE_PAT, _date, _needs("/.-", _DIGITS)),
-    (_TIME_PAT, _time, _needs(":", _DIGITS)),
-    (_DIGIT_RUN_PAT, _digit_run, _needs(_DIGITS)),
-    (_DECIMAL_PAT, _decimal, _needs(".", _DIGITS)),
-    (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, _DIGITS)),
-    (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS)),
-    (_ABBREV_EN_PAT, _whole_match(SemioticClass.ABBREV_EN),
-     _needs(ascii_letters)),
-    (_ABBREV_FA_PAT, _whole_match(SemioticClass.ABBREV_FA),
-     _needs(_table_needs(ABBREV_FA, ".("))),
-]
-# every row: the ranked rows, then the MATH_SYMBOL and SYMBOL rows, whose
-# spans hold no dot
-_DETECTORS = _RANKED_ROWS + [
-    (_FRACTION_PAT, _fraction, _needs("/", _DIGITS)),
-    (alternation(_dotless(SYMBOLS)), _whole_match(SemioticClass.SYMBOL),
-     _needs(_table_needs(SYMBOLS))),
-    (alternation(_dotless(MATH_SYMBOLS)), _whole_match(SemioticClass.MATH_SYMBOL),
-     _needs(_table_needs(MATH_SYMBOLS))),
-]
+# Every semiotic class, highest overlap-resolution priority first: (can a
+# span of it hold a dot, its rows).  A row is (pattern, candidate, needs):
+# ``candidate`` maps a match to ``(cls, start, end, data)``, or to None when
+# a check fails, and a None candidate yields the whole match; every match
+# holds a character of each set in ``needs``, so a text lacking one skips it
+_CLASSES = {
+    "URL": (True, [(_URL_PAT, _url, _needs(".:", ascii_letters))]),
+    "EMAIL": (True, [(_EMAIL_PAT, None, _needs("@"))]),
+    "SHEBA": (False, [(_SHEBA_PAT, _sheba, _needs("I", _DIGITS))]),
+    "DATE": (True, [(_DATE_PAT, _date, _needs("/.-", _DIGITS))]),
+    "TIME": (False, [(_TIME_PAT, _time, _needs(":", _DIGITS))]),
+    # the digit-run row also yields CARD_NUMBER, NATIONAL_ID and LONG_NUMBER
+    "PHONE": (False, [(_DIGIT_RUN_PAT, _digit_run, _needs(_DIGITS))]),
+    "CARD_NUMBER": (False, []),
+    "NATIONAL_ID": (False, []),
+    "DECIMAL": (True, [(_DECIMAL_PAT, _decimal, _needs(".", _DIGITS))]),
+    "LONG_NUMBER": (False, []),
+    "CURRENCY": (True, [
+        (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, _DIGITS)),
+        (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS))]),
+    "ABBREV_EN": (True, [(_ABBREV_EN_PAT, None, _needs(ascii_letters))]),
+    "ABBREV_FA": (True, [
+        (_ABBREV_FA_PAT, None, _needs(_table_needs(ABBREV_FA, ".(")))]),
+    "MATH_SYMBOL": (False, [
+        (_FRACTION_PAT, _fraction, _needs("/", _DIGITS)),
+        (alternation(_dotless(MATH_SYMBOLS)), None,
+         _needs(_table_needs(MATH_SYMBOLS)))]),
+    "SYMBOL": (False, [
+        (alternation(_dotless(SYMBOLS)), None, _needs(_table_needs(SYMBOLS)))]),
+    # no row: ``scan`` reads every uncovered digit run as a plain number
+    "PLAIN_NUMBER": (False, []),
+}
+
+SemioticClass = Enum("SemioticClass", [(name, name) for name in _CLASSES],
+                     module=__name__)
+_PRIORITY_INDEX = {cls: i for i, cls in enumerate(SemioticClass)}
+
+
+def _whole_match(cls):
+    return lambda m, text: (cls, m.start(), m.end(), {})
+
+
+def _rows() -> tuple[list, list]:
+    """Every row of ``_CLASSES`` in class order, and the rows of the
+    classes up to the last one whose spans can hold a dot."""
+    every, split = [], []
+    for cls, (dotted, rows) in zip(SemioticClass, _CLASSES.values()):
+        every += [(pattern, candidate or _whole_match(cls), needs)
+                  for pattern, candidate, needs in rows]
+        if dotted:
+            split = every.copy()
+    return every, split
+
+
+_DETECTORS, _SPLIT_ROWS = _rows()
 
 # one character class over every row's characters: a single pass finds
 # which of them a text holds
@@ -476,7 +478,7 @@ _DIGIT_SET = frozenset(_DIGITS)
 def _candidates(text: str, present: set, rows) -> list[tuple]:
     """The candidates of the ``rows`` whose ``needs`` the ``present``
     characters meet, in resolution order: by class priority (the order of
-    ``SemioticClass``), then longest first, then by position."""
+    ``_CLASSES``), then longest first, then by position."""
     candidates = []
     for pattern, candidate, needs in rows:
         for chars in needs:  # run the row only if the text meets every set
@@ -513,7 +515,7 @@ def scan(text: str) -> list[SemioticSpan]:
     Only the ``_DETECTORS`` rows whose ``needs`` the text meets are run: a
     row is skipped when the text holds no character of one of its sets, as
     none of its matches could then occur.  Overlaps are resolved by class
-    priority (the order of ``SemioticClass``), then by match length, then by
+    priority (the order of ``_CLASSES``), then by match length, then by
     position, in time linear in the total length of the candidates.  A
     maximal digit run that no span covers any of is a PLAIN_NUMBER, the last
     class: such runs never overlap one another.
@@ -535,13 +537,17 @@ def scan(text: str) -> list[SemioticSpan]:
 
 def _dotted_intervals(text: str) -> list[tuple[int, int]]:
     """The ``(start, end)`` of every span of ``scan(text)`` that holds a
-    dot, in no particular order.
+    dot, and of every dotted date shape, even one the calendar rejects, in
+    no particular order.
 
-    Only the ``_RANKED_ROWS`` are run.  Their candidates come first in
+    Only the ``_SPLIT_ROWS`` are run.  Their candidates come first in
     resolution order, so no later row changes which of them win, and no
     span of a later class holds a dot.
     """
     present = set(_TRIGGER.findall(text))
-    accepted, _ = _resolve(_candidates(text, present, _RANKED_ROWS), text)
-    return [(start, end) for _, start, end, _ in accepted
-            if text.find(".", start, end) != -1]
+    accepted, _ = _resolve(_candidates(text, present, _SPLIT_ROWS), text)
+    intervals = [(start, end) for _, start, end, _ in accepted
+                 if text.find(".", start, end) != -1]
+    intervals += [m.span() for m in _DATE_PAT.finditer(text)
+                  if m.group(2) == "."]
+    return intervals

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .numwords import ZWNJ
 from .resources import rows
-from .scanner import _DATE_PAT, _dotted_intervals
+from .scanner import _dotted_intervals
 from .scanner import scan  # unused here; perfbench/tracing.py wraps segmenter.scan
 
 TERMINAL_MARKS = ".!?؟"
@@ -99,15 +99,12 @@ def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None)
 
 def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
     """Intervals covering every dot that must not split a sentence, sorted
-    and disjoint: those of the spans ``scan`` finds holding a dot, and of
-    every dotted date shape, even one the calendar rejects.  A text without
+    and disjoint: the merged ``scanner._dotted_intervals``.  A text without
     a dot has none, and is not scanned."""
     if "." not in text:
         return []
-    intervals = _dotted_intervals(text)
-    intervals += [m.span() for m in _DATE_PAT.finditer(text) if m.group(2) == "."]
     merged: list[tuple[int, int]] = []
-    for start, end in sorted(intervals):
+    for start, end in sorted(_dotted_intervals(text)):
         if merged and start < merged[-1][1]:
             merged[-1] = (merged[-1][0], max(end, merged[-1][1]))
         else:

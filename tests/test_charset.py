@@ -13,9 +13,13 @@ from persian_norm import (
     normalize_general,
     strip_emojis,
 )
-from persian_norm.charset import _EMOJI_PAT, check_fold_order, is_emoji_char
+from persian_norm.charset import _EMOJI_PAT, _EMOJI_RANGES, check_fold_order
 from persian_norm.pipeline import PASS_NAMES
 from persian_norm.resources import alternation, table
+
+
+def is_emoji_char(ch):
+    return any(lo <= ord(ch) <= hi for lo, hi in _EMOJI_RANGES)
 
 
 def test_arabic_yeh_folds_to_persian():

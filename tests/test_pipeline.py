@@ -171,6 +171,14 @@ def test_line_streaming_equivalence():
     assert joined_out == ["ساعت هشت", "قیمت بیست و پنج دلار بود", "متن ساده"]
 
 
+@pytest.mark.parametrize("kind", [set, list, tuple])
+def test_config_takes_any_collection_of_passes(kind):
+    config = PipelineConfig(enabled_passes=kind(["fold_digits"]))
+    assert config.enabled_passes == frozenset({"fold_digits"})
+    assert normalize_general("۶ 😀 ي", config) == "۶ 😀 ي"
+    assert normalize_general("6 😀", config.disable("fold_digits")) == "6 😀"
+
+
 def test_config_is_frozen():
     config = PipelineConfig()
     with pytest.raises(Exception):

@@ -24,6 +24,7 @@ from persian_norm import (
 from persian_norm.scanner import (
     D,
     _ABBREV_EN_PAT,
+    _CLASSES,
     _DATE_PAT,
     _DECIMAL_PAT,
     _DETECTORS,
@@ -715,8 +716,12 @@ def _reference_protect(text):
 
 def _assert_matches_reference(texts):
     for text in texts:
-        assert [(s.start, s.end, s.cls, s.raw, repr(s.data)) for s in scan(text)] \
+        spans = scan(text)
+        assert [(s.start, s.end, s.cls, s.raw, repr(s.data)) for s in spans] \
             == _reference_scan(text), text
+        # the split runs no row of a class after the last one marked dotted
+        assert not [s.raw for s in spans
+                    if "." in s.raw and not _CLASSES[s.cls.name][0]], text
         assert protect_non_terminal_dots(text) == _reference_protect(text), text
 
 
