@@ -114,7 +114,7 @@ def _read_config_file(norm: _Parser, path: str) -> None:
     line without ``=`` or with an unknown key, and, naming the key too, on a
     value the flag would not take."""
     values = norm.parse_args([])
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for ln in fh:
             ln = ln.strip()
             if not ln or ln.startswith("#"):
@@ -165,7 +165,7 @@ def _cmd_split(args) -> int:
 def read_gold_fixture(path) -> list[list[str]]:
     """Gold fixture file -> list of paragraphs, each a list of sentences."""
     paragraphs: list[list[str]] = [[]]
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for ln in text.splitlines():
         ln = ln.strip()
         if ln.startswith("#"):

@@ -8,10 +8,10 @@ text and returns typed, non-overlapping spans for the verbalizers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from string import ascii_letters
+from typing import NamedTuple
 
 from .resources import alternation, table
 
@@ -31,9 +31,6 @@ D = f"[{_DIGITS}]"
 
 def ascii_digits(s: str) -> str:
     return s.translate(_TO_ASCII)
-
-
-_BY_START = itemgetter(1)
 
 
 class Calendar(Enum):
@@ -110,17 +107,13 @@ class CalendarDate:
             )
 
 
-@dataclass(frozen=True)
-class SemioticSpan:
+class SemioticSpan(NamedTuple):
+    """One span of ``scan``: ``raw`` is ``text[start:end]``."""
     start: int
     end: int
     cls: SemioticClass
     raw: str
-    data: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"bad span bounds: {self.start}..{self.end}")
+    data: dict
 
 
 def infer_calendar(year: int, default: Calendar = Calendar.SOLAR_HIJRI,
@@ -524,15 +517,16 @@ def scan(text: str) -> list[SemioticSpan]:
     if not present:
         return []
     accepted, covered = _resolve(_candidates(text, present, _DETECTORS), text)
+    spans = [SemioticSpan(start, end, cls, text[start:end], data)
+             for cls, start, end, data in accepted]
     if not present.isdisjoint(_DIGIT_SET):
         for m in _NUMBER_PAT.finditer(text):
             start, end = m.span()
             if covered.find(1, start, end) == -1:
-                accepted.append((SemioticClass.PLAIN_NUMBER, start, end, {}))
-    accepted.sort(key=_BY_START)
-    return [SemioticSpan(start=start, end=end, cls=cls,
-                         raw=text[start:end], data=data)
-            for cls, start, end, data in accepted]
+                spans.append(SemioticSpan(start, end, SemioticClass.PLAIN_NUMBER,
+                                          m.group(), {}))
+    spans.sort()  # starts are unique: spans are disjoint and non-empty
+    return spans
 
 
 def _dotted_intervals(text: str) -> list[tuple[int, int]]:

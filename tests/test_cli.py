@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from persian_norm.cli import evaluate_gold_fixture, run_cli
+from persian_norm.cli import evaluate_gold_fixture, read_gold_fixture, run_cli
 from persian_norm.resources import fixture_path
 
 
@@ -121,6 +121,20 @@ def test_normalize_config_file(tmp_path, capsys):
     cfg.write_text("mode = general\ndisable = strip_emojis\n", encoding="utf-8")
     assert run(["normalize", "--config", str(cfg)], stdin="عدد ⑥ 😀\n") == 0
     assert capsys.readouterr().out == "عدد ۶ 😀\n"
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("# general mode\n\nmode = general\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="عدد ⑥\n") == 0
+    assert capsys.readouterr().out == "عدد ۶\n"
+
+
+def test_config_file_may_start_with_a_bom(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("\ufeffmode = general\n", encoding="utf-8")
+    assert run(["normalize", "--config", str(cfg)], stdin="ساعت 8:00\n") == 0
+    assert capsys.readouterr().out == "ساعت ۸:۰۰\n"
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):
@@ -273,6 +287,19 @@ def test_eval_split_bundled_fixture(capsys):
     assert float(out) >= 0.85
     # printed with four decimals
     assert len(out.split(".")[1]) == 4
+
+
+def test_gold_fixture_may_start_with_a_bom(tmp_path):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("\ufeff# header\nسلام.\nخوبی؟\n", encoding="utf-8")
+    assert read_gold_fixture(gold) == [["سلام.", "خوبی؟"]]
+    assert evaluate_gold_fixture(gold) == 1.0
+
+
+def test_gold_fixture_trailing_blank_lines_add_no_paragraph(tmp_path):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("سلام.\n\nخوبی؟\n\n\n", encoding="utf-8")
+    assert read_gold_fixture(gold) == [["سلام."], ["خوبی؟"]]
 
 
 def test_scan_command(capsys):

@@ -43,6 +43,14 @@ def test_range_errors():
         cardinal_words(MAX_VALUE)
 
 
+def test_cardinal_rejects_non_int():
+    assert cardinal_words(1)  # a cached 1 does not answer for True
+    with pytest.raises(TypeError):
+        cardinal_words(True)
+    with pytest.raises(TypeError):
+        cardinal_words("5")
+
+
 def test_ordinal_ninth():
     assert ordinal_words(9) == "نهم"
 
@@ -105,6 +113,11 @@ def test_decimal_rejects_empty():
         decimal_words("1", "")
 
 
+def test_decimal_rejects_non_digits():
+    with pytest.raises(ValueError):
+        decimal_words("1", "2a")
+
+
 def test_grouped_leading_zero():
     assert grouped_digit_words("04", [2]) == "صفر چهار"
 
@@ -124,6 +137,13 @@ def test_grouped_triple_with_zero():
 def test_grouped_size_mismatch():
     with pytest.raises(ValueError):
         grouped_digit_words("123", [2, 2])
+
+
+def test_grouped_rejects_non_digits_and_large_groups():
+    with pytest.raises(ValueError):
+        grouped_digit_words("12a", [3])
+    with pytest.raises(ValueError):
+        grouped_digit_words("12345", [5])
 
 
 def test_words_to_number_base_cases():

@@ -125,6 +125,12 @@ def test_raw_matches_offsets():
         assert text[span.start:span.end] == span.raw
 
 
+def test_spans_are_frozen():
+    span = scan("عدد 12")[0]
+    with pytest.raises(AttributeError):
+        span.start = 0
+
+
 def test_url_beats_date_inside():
     spans = scan("http://example.com/2018-01-10/page")
     assert [s.cls for s in spans] == [SemioticClass.URL]
@@ -186,6 +192,10 @@ def test_classify_phone_too_short():
     assert classify_phone("1234", "", "") is None
 
 
+def test_classify_phone_non_digit():
+    assert classify_phone("0912345678x") is None
+
+
 def test_national_id_valid():
     assert validate_national_id("0523924984") is True
 
@@ -241,6 +251,10 @@ def test_sheba_wrong_prefix():
     assert validate_sheba("XY" + "1" * 24) is False
 
 
+def test_sheba_non_digit_body():
+    assert validate_sheba("IR" + "1" * 23 + "x") is False
+
+
 def test_sheba_bad_check_digits():
     iban = _make_iban("0170000000000123456789")
     broken = "IR" + f"{(int(iban[2:4]) + 1) % 100:02d}" + iban[4:]
@@ -251,6 +265,15 @@ def test_scan_sheba_span():
     iban = _make_iban("0170000000000123456789")
     spans = scan(f"شبا: {iban}")
     assert [s.cls for s in spans] == [SemioticClass.SHEBA]
+
+
+def test_scan_sheba_bad_checksum_is_a_long_number():
+    spans = scan("شبا IR820540102680020817909003 است")
+    assert [(s.cls, s.raw) for s in spans] == [
+        (SemioticClass.LONG_NUMBER, "820540102680020817909003")]
+    spans = scan("شبا IR820540102680020817909002 است")
+    assert [(s.cls, s.raw) for s in spans] == [
+        (SemioticClass.SHEBA, "IR820540102680020817909002")]
 
 
 def test_long_number():
@@ -323,6 +346,8 @@ def test_calendar_date_validation():
         CalendarDate(Calendar.SOLAR_HIJRI, 1400, 7, 31)
     with pytest.raises(ValueError):
         CalendarDate(Calendar.GREGORIAN, 2018, 2, 29)
+    with pytest.raises(ValueError):
+        CalendarDate(Calendar.SOLAR_HIJRI, 0, 1, 1)
     CalendarDate(Calendar.GREGORIAN, 2020, 2, 29)
     CalendarDate(Calendar.SOLAR_HIJRI, 1400, 1, 31)
 
@@ -719,6 +744,9 @@ def _assert_matches_reference(texts):
         spans = scan(text)
         assert [(s.start, s.end, s.cls, s.raw, repr(s.data)) for s in spans] \
             == _reference_scan(text), text
+        for s in spans:
+            assert 0 <= s.start < s.end <= len(text), (text, s)
+            assert s.raw == text[s.start:s.end], (text, s)
         # the split runs no row of a class after the last one marked dotted
         assert not [s.raw for s in spans
                     if "." in s.raw and not _CLASSES[s.cls.name][0]], text

@@ -92,6 +92,8 @@ def test_time_rejects_out_of_range():
         time_variants(24, 0)
     with pytest.raises(ValueError):
         time_variants(8, 60)
+    with pytest.raises(ValueError):
+        time_variants(1, 2, 60)
 
 
 def test_phone_mobile_partitions():
@@ -222,6 +224,11 @@ def test_policy_fixed_index():
     v = date_variants(d)
     for i in range(len(v)):
         assert SelectionPolicy.fixed(i).choose(date_variants(d)) == v[i]
+
+
+def test_policy_rejects_no_options():
+    with pytest.raises(ValueError):
+        SelectionPolicy.fixed().choose([])
 
 
 def test_policy_seeded_equal_seeds_equal_outputs():
