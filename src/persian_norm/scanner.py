@@ -284,15 +284,14 @@ def _sheba(m, text):
 
 
 # a whole digit run of a length some check below can claim: 8 or 11 digits
-# (phone), 10 (national ID), 16 (card) or 16 and more (long number)
+# (phone), 10 (national ID) or 16 (card)
 _DIGIT_RUN_PAT = re.compile(
-    rf"{D}(?<!{D}{D})(?:{D}{{7}}|{D}{{9,10}}|{D}{{15,}})(?!{D})"
+    rf"{D}(?<!{D}{D})(?:{D}{{7}}|{D}{{9,10}}|{D}{{15}})(?!{D})"
 )
 
 
 def _digit_run(m, text):
-    """Phone / card / national ID / long number classification of a digit
-    run; None when no check claims it (``scan`` reads it as a plain number)."""
+    """Phone / card / national ID classification of a digit run, or None."""
     run = m.group(0)
     if len(run) in (8, 11):  # the only lengths ``classify_phone`` accepts
         left = text[max(0, m.start() - 20):m.start()]
@@ -304,8 +303,6 @@ def _digit_run(m, text):
         cls = SemioticClass.CARD_NUMBER
     elif len(run) == 10 and validate_national_id(run):
         cls = SemioticClass.NATIONAL_ID
-    elif len(run) > 15:
-        cls = SemioticClass.LONG_NUMBER
     else:
         return None
     return cls, m.start(), m.end(), {}
@@ -318,6 +315,10 @@ def _decimal(m, text):
     return (SemioticClass.DECIMAL, m.start(), m.end(),
             {"integer": ascii_digits(m.group(1)),
              "fraction": ascii_digits(m.group(2))})
+
+
+# a whole run of 16 digits or more
+_LONG_NUMBER_PAT = re.compile(rf"{D}(?<!{D}{D}){D}{{15,}}(?!{D})")
 
 
 # simple x/y fractions (x < y) read as spoken fractions, e.g. ۱/۲
@@ -334,9 +335,8 @@ def _fraction(m, text):
 
 
 # every currency symbol is one character, so the longest-first order is
-# the table's file order.  Each symbol occurrence also gives a bare-symbol
-# candidate: the reading left when a higher-priority class (e.g. DECIMAL)
-# claims the amount
+# the table's file order.  Each symbol also gives a bare-symbol candidate,
+# read when a row listed before (e.g. DECIMAL's) claims the amount
 _CURRENCY_SYMBOL_PAT = alternation(CURRENCIES)
 _AMOUNT = rf"{D}+(?:\.{D}+)?"
 _CURRENCY_PAT = re.compile(
@@ -401,23 +401,29 @@ def _dotless(tbl):
 
 _CURRENCY_CHARS = _table_needs(CURRENCIES)
 
-# Every semiotic class, highest overlap-resolution priority first: (can a
-# span of it hold a dot, its rows).  A row is (pattern, candidate, needs):
-# ``candidate`` maps a match to ``(cls, start, end, data)``, or to None when
-# a check fails, and a None candidate yields the whole match; every match
-# holds a character of each set in ``needs``, so a text lacking one skips it
+# Every semiotic class in overlap-resolution order: (can a span of it hold
+# a dot, its rows).  A row is (pattern, candidate, needs): ``candidate``
+# maps a match to ``(cls, start, end, data)``, or to None when a check
+# fails, and a None candidate yields the whole match; every match holds a
+# character of each set in ``needs``, so a text lacking one skips it.
+# The row listed first wins an overlap, just as the class listed first
+# would: a row's candidates are disjoint (each lies in its ``finditer``
+# match; ``_url`` only trims the end); rows sit at their class's place,
+# save that the digit-run row also yields CARD_NUMBER and NATIONAL_ID, the
+# next two classes; and of a class's two rows, only a bare currency sign can
+# overlap an amount, whose row comes first (no math-symbol surface holds a
+# digit or "/", so none overlaps a fraction).
 _CLASSES = {
     "URL": (True, [(_URL_PAT, _url, _needs(".:", ascii_letters))]),
     "EMAIL": (True, [(_EMAIL_PAT, None, _needs("@"))]),
     "SHEBA": (False, [(_SHEBA_PAT, _sheba, _needs("I", _DIGITS))]),
     "DATE": (True, [(_DATE_PAT, _date, _needs("/.-", _DIGITS))]),
     "TIME": (False, [(_TIME_PAT, _time, _needs(":", _DIGITS))]),
-    # the digit-run row also yields CARD_NUMBER, NATIONAL_ID and LONG_NUMBER
     "PHONE": (False, [(_DIGIT_RUN_PAT, _digit_run, _needs(_DIGITS))]),
     "CARD_NUMBER": (False, []),
     "NATIONAL_ID": (False, []),
     "DECIMAL": (True, [(_DECIMAL_PAT, _decimal, _needs(".", _DIGITS))]),
-    "LONG_NUMBER": (False, []),
+    "LONG_NUMBER": (False, [(_LONG_NUMBER_PAT, None, _needs(_DIGITS))]),
     "CURRENCY": (True, [
         (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, _DIGITS)),
         (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS))]),
@@ -436,7 +442,6 @@ _CLASSES = {
 
 SemioticClass = Enum("SemioticClass", [(name, name) for name in _CLASSES],
                      module=__name__)
-_PRIORITY_INDEX = {cls: i for i, cls in enumerate(SemioticClass)}
 
 
 def _whole_match(cls):
@@ -468,11 +473,9 @@ _NUMBER_PAT = re.compile(rf"{D}+")
 _DIGIT_SET = frozenset(_DIGITS)
 
 
-def _candidates(text: str, present: set, rows) -> list[tuple]:
+def _candidates(text: str, present: set, rows):
     """The candidates of the ``rows`` whose ``needs`` the ``present``
-    characters meet, in resolution order: by class priority (the order of
-    ``_CLASSES``), then longest first, then by position."""
-    candidates = []
+    characters meet, in resolution order: row by row, each in text order."""
     for pattern, candidate, needs in rows:
         for chars in needs:  # run the row only if the text meets every set
             if present.isdisjoint(chars):
@@ -481,11 +484,7 @@ def _candidates(text: str, present: set, rows) -> list[tuple]:
             for m in pattern.finditer(text):
                 c = candidate(m, text)
                 if c is not None:
-                    candidates.append(c)
-    candidates.sort(
-        key=lambda c: (_PRIORITY_INDEX[c[0]], -(c[2] - c[1]), c[1])
-    )
-    return candidates
+                    yield c
 
 
 def _resolve(candidates, text: str) -> tuple[list[tuple], bytearray]:
@@ -507,11 +506,11 @@ def scan(text: str) -> list[SemioticSpan]:
 
     Only the ``_DETECTORS`` rows whose ``needs`` the text meets are run: a
     row is skipped when the text holds no character of one of its sets, as
-    none of its matches could then occur.  Overlaps are resolved by class
-    priority (the order of ``_CLASSES``), then by match length, then by
-    position, in time linear in the total length of the candidates.  A
-    maximal digit run that no span covers any of is a PLAIN_NUMBER, the last
-    class: such runs never overlap one another.
+    none of its matches could then occur.  Of two overlapping candidates,
+    the one whose row is listed first in ``_CLASSES`` wins, in time linear
+    in the total length of the candidates.  A maximal digit run that no span
+    covers any of is a PLAIN_NUMBER, the last class: such runs never overlap
+    one another.
     """
     present = set(_TRIGGER.findall(text))
     if not present:

@@ -22,6 +22,8 @@ from persian_norm import (
     validate_sheba,
 )
 from persian_norm.scanner import (
+    CURRENCIES,
+    MATH_SYMBOLS,
     D,
     _ABBREV_EN_PAT,
     _CLASSES,
@@ -32,7 +34,6 @@ from persian_norm.scanner import (
     _DIGITS,
     _EMAIL_PAT,
     _FRACTION_PAT,
-    _PRIORITY_INDEX,
     _TIME_PAT,
     _TLD,
     _URL_PAT,
@@ -303,6 +304,9 @@ def test_currency_number_then_symbol():
     ("12.5$", [
         (SemioticClass.DECIMAL, "12.5", {"integer": "12", "fraction": "5"}),
         (SemioticClass.CURRENCY, "$", {"symbol": "$", "amount": None})]),
+    ("$1.5", [
+        (SemioticClass.CURRENCY, "$", {"symbol": "$", "amount": None}),
+        (SemioticClass.DECIMAL, "1.5", {"integer": "1", "fraction": "5"})]),
     ("فقط € است", [
         (SemioticClass.CURRENCY, "€", {"symbol": "€", "amount": None})]),
     ("$12$", [
@@ -519,6 +523,14 @@ def test_table_surface_without_row_characters_raises():
     assert _table_needs(tbl) == {"ر"}
 
 
+def test_currency_and_math_symbol_surfaces_resolve_in_row_order():
+    # a bare currency sign overlaps no candidate of its class but the amount
+    # it is in, and no math-symbol surface overlaps a fraction
+    assert all(len(surface) == 1 for surface in CURRENCIES)
+    assert [s for s in MATH_SYMBOLS if not set(s).isdisjoint(_DIGITS + "/")] \
+        == []
+
+
 def test_table_surface_with_a_dot_raises():
     tbl = {"%": "درصد", "a.b": "آ ب"}
     with pytest.raises(ValueError, match="a.b"):
@@ -669,6 +681,10 @@ def test_phone_cue_window_is_20_characters(gap, cls):
     ("6104337852441441", SemioticClass.CARD_NUMBER),
     ("09397796915", SemioticClass.PHONE),
     ("02123456789", SemioticClass.PHONE),
+    ("6104337852441442", SemioticClass.LONG_NUMBER),
+    # DECIMAL's row comes before LONG_NUMBER's
+    ("1.1234567890123456", SemioticClass.DECIMAL),
+    ("۱.۱۲۳۴۵۶۷۸۹۰۱۲۳۴۵۶", SemioticClass.DECIMAL),
 ])
 def test_digit_run_classes_by_length(run, cls):
     assert classes(f"شماره {run} است") == [(cls, run)]
@@ -679,6 +695,7 @@ def test_digit_run_classes_by_length(run, cls):
 # sort, and the splitter keeps the spans that hold a dot; ``scan`` and
 # ``protect_non_terminal_dots`` must agree with it
 _REFERENCE_DIGIT_RUN_PAT = re.compile(rf"{D}+")
+_PRIORITY_INDEX = {cls: i for i, cls in enumerate(SemioticClass)}
 
 
 def _reference_digit_run(m, text):
