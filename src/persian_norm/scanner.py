@@ -401,6 +401,10 @@ def _dotless(tbl):
 
 _CURRENCY_CHARS = _table_needs(CURRENCIES)
 
+# a maximal digit run: a plain number wherever no row listed before claims
+# a digit of it
+_NUMBER_PAT = re.compile(rf"{D}+")
+
 # Every semiotic class in overlap-resolution order: (can a span of it hold
 # a dot, its rows).  A row is (pattern, candidate, needs): ``candidate``
 # maps a match to ``(cls, start, end, data)``, or to None when a check
@@ -436,8 +440,7 @@ _CLASSES = {
          _needs(_table_needs(MATH_SYMBOLS)))]),
     "SYMBOL": (False, [
         (alternation(_dotless(SYMBOLS)), None, _needs(_table_needs(SYMBOLS)))]),
-    # no row: ``scan`` reads every uncovered digit run as a plain number
-    "PLAIN_NUMBER": (False, []),
+    "PLAIN_NUMBER": (False, [(_NUMBER_PAT, None, _needs(_DIGITS))]),
 }
 
 SemioticClass = Enum("SemioticClass", [(name, name) for name in _CLASSES],
@@ -468,10 +471,6 @@ _TRIGGER = re.compile("[" + re.escape("".join(sorted(
     frozenset().union(*(chars for _, _, needs in _DETECTORS for chars in needs))
 ))) + "]")
 
-# a maximal digit run: a plain number wherever no other span covers a digit
-_NUMBER_PAT = re.compile(rf"{D}+")
-_DIGIT_SET = frozenset(_DIGITS)
-
 
 def _candidates(text: str, present: set, rows):
     """The candidates of the ``rows`` whose ``needs`` the ``present``
@@ -487,10 +486,10 @@ def _candidates(text: str, present: set, rows):
                     yield c
 
 
-def _resolve(candidates, text: str) -> tuple[list[tuple], bytearray]:
+def _resolve(candidates, text: str) -> list[tuple]:
     """Accept, in order, each candidate ``(cls, start, end, data)``
-    overlapping none accepted before.  Returns the accepted candidates in
-    that order and the mask of the characters of ``text`` they cover."""
+    overlapping none accepted before, and return the accepted ones in that
+    order."""
     covered = bytearray(len(text))
     accepted = []
     for c in candidates:
@@ -498,7 +497,7 @@ def _resolve(candidates, text: str) -> tuple[list[tuple], bytearray]:
         if covered.find(1, start, end) == -1:
             covered[start:end] = b"\1" * (end - start)
             accepted.append(c)
-    return accepted, covered
+    return accepted
 
 
 def scan(text: str) -> list[SemioticSpan]:
@@ -508,22 +507,14 @@ def scan(text: str) -> list[SemioticSpan]:
     row is skipped when the text holds no character of one of its sets, as
     none of its matches could then occur.  Of two overlapping candidates,
     the one whose row is listed first in ``_CLASSES`` wins, in time linear
-    in the total length of the candidates.  A maximal digit run that no span
-    covers any of is a PLAIN_NUMBER, the last class: such runs never overlap
-    one another.
+    in the total length of the candidates.
     """
     present = set(_TRIGGER.findall(text))
     if not present:
         return []
-    accepted, covered = _resolve(_candidates(text, present, _DETECTORS), text)
+    accepted = _resolve(_candidates(text, present, _DETECTORS), text)
     spans = [SemioticSpan(start, end, cls, text[start:end], data)
              for cls, start, end, data in accepted]
-    if not present.isdisjoint(_DIGIT_SET):
-        for m in _NUMBER_PAT.finditer(text):
-            start, end = m.span()
-            if covered.find(1, start, end) == -1:
-                spans.append(SemioticSpan(start, end, SemioticClass.PLAIN_NUMBER,
-                                          m.group(), {}))
     spans.sort()  # starts are unique: spans are disjoint and non-empty
     return spans
 
@@ -538,7 +529,7 @@ def _dotted_intervals(text: str) -> list[tuple[int, int]]:
     span of a later class holds a dot.
     """
     present = set(_TRIGGER.findall(text))
-    accepted, _ = _resolve(_candidates(text, present, _SPLIT_ROWS), text)
+    accepted = _resolve(_candidates(text, present, _SPLIT_ROWS), text)
     intervals = [(start, end) for _, start, end, _ in accepted
                  if text.find(".", start, end) != -1]
     intervals += [m.span() for m in _DATE_PAT.finditer(text)

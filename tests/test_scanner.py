@@ -34,6 +34,7 @@ from persian_norm.scanner import (
     _DIGITS,
     _EMAIL_PAT,
     _FRACTION_PAT,
+    _NUMBER_PAT,
     _TIME_PAT,
     _TLD,
     _URL_PAT,
@@ -464,7 +465,7 @@ def test_resolve_matches_pairwise_greedy():
     for _ in range(2000):
         text = "".join(rng.choice("12:/. ابپ") for _ in range(rng.randrange(1, 40)))
         candidates = _random_candidates(rng, len(text))
-        accepted, _ = _resolve(candidates, text)
+        accepted = _resolve(candidates, text)
         spans = sorted(accepted, key=lambda c: c[1])
         assert [(start, end, cls, text[start:end], data)
                 for cls, start, end, data in spans] == \
@@ -692,10 +693,21 @@ def test_digit_run_classes_by_length(run, cls):
 
 # the reference resolution: every maximal digit run is a candidate (a
 # PLAIN_NUMBER when no check claims it), every row runs on every text, one
-# sort, and the splitter keeps the spans that hold a dot; ``scan`` and
-# ``protect_non_terminal_dots`` must agree with it
+# sort by the class order written out below, and the splitter keeps the
+# spans that hold a dot; ``scan`` and ``protect_non_terminal_dots`` must
+# agree with it
 _REFERENCE_DIGIT_RUN_PAT = re.compile(rf"{D}+")
-_PRIORITY_INDEX = {cls: i for i, cls in enumerate(SemioticClass)}
+_RESOLUTION_ORDER = [
+    "URL", "EMAIL", "SHEBA", "DATE", "TIME", "PHONE", "CARD_NUMBER",
+    "NATIONAL_ID", "DECIMAL", "LONG_NUMBER", "CURRENCY", "ABBREV_EN",
+    "ABBREV_FA", "MATH_SYMBOL", "SYMBOL", "PLAIN_NUMBER",
+]
+_PRIORITY_INDEX = {SemioticClass[name]: i
+                   for i, name in enumerate(_RESOLUTION_ORDER)}
+
+
+def test_classes_are_listed_in_resolution_order():
+    assert [c.name for c in SemioticClass] == _RESOLUTION_ORDER
 
 
 def _reference_digit_run(m, text):
@@ -717,10 +729,12 @@ def _reference_digit_run(m, text):
     return cls, m.start(), m.end(), {}
 
 
+# the reference reads plain numbers through ``_reference_digit_run``, not
+# through the PLAIN_NUMBER row it checks
 _REFERENCE_ROWS = [
     (_REFERENCE_DIGIT_RUN_PAT, _reference_digit_run)
     if pattern is _DIGIT_RUN_PAT else (pattern, candidate)
-    for pattern, candidate, _ in _DETECTORS
+    for pattern, candidate, _ in _DETECTORS if pattern is not _NUMBER_PAT
 ]
 
 

@@ -337,3 +337,21 @@ def test_gold_fixture_shape():
 def test_gold_fixture_accuracy():
     accuracy = evaluate_gold_fixture(fixture_path("segmentation_gold.txt"))
     assert accuracy >= 0.85
+
+
+# the two gold sentences the split misses, each at a false verb end of the
+# long-segment fallback: ``پوشیده`` is a participle used as an adjective,
+# ``ساخت`` a noun that looks like a past stem
+_KNOWN_GOLD_MISSES = {
+    "نزدیک ظهر به قله پوشیده از برف رسیدند",
+    "شهرداری پس از چند ماه مجوز ساخت را صادر کرد",
+}
+
+
+def test_gold_fixture_misses_at_most_the_known_sentences():
+    norm = lambda s: " ".join(s.split())
+    missed = set()
+    for sentences in read_gold_fixture(fixture_path("segmentation_gold.txt")):
+        predicted = {norm(s) for s in split_sentences(" ".join(sentences))}
+        missed |= {norm(g) for g in sentences if norm(g) not in predicted}
+    assert missed <= _KNOWN_GOLD_MISSES
