@@ -51,7 +51,6 @@ from .segmenter import (
 from .verbalize import (
     SelectionPolicy,
     expand_abbreviation,
-    verbalize_symbol,
     verbalize_url_email,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "validate_card",
     "validate_national_id",
     "validate_sheba",
-    "verbalize_symbol",
     "verbalize_url_email",
     "words_to_number",
 ]

@@ -1,8 +1,10 @@
 """Character-level canonicalization passes.
 
-Each pass is a total, idempotent function over text: letter variant folding,
-digit variant folding, punctuation normalization, markup-entity decoding and
-emoji removal.  The inventories live in the tab-separated files under
+Each pass is a total function over text: letter variant folding, digit
+variant folding, punctuation normalization, markup-entity decoding and emoji
+removal.  Each is idempotent but markup-entity decoding, which undoes one
+level of escaping per run: ``&amp;lt;`` decodes to ``&lt;``, and that to
+``<``.  The inventories live in the tab-separated files under
 ``persian_norm/data``.
 
 The three fold passes each map characters through one table.

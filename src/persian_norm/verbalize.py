@@ -249,14 +249,11 @@ def _word_ends(group: str) -> int:
 
 def phone_readings(digits: str, kind: PhoneKind) -> GroupedReadings:
     digits = ascii_digits(digits)
-    if kind is PhoneKind.MOBILE:
-        # the 4-digit prefix is always read the same way: صفر + 3-digit cardinal
-        prefix = f"صفر {cardinal_words(int(digits[1:4]))}"
-        return GroupedReadings(digits[4:], prefix)
-    if len(digits) == 11:
-        # landline with area code 0XX
-        return GroupedReadings(digits[3:], grouped_digit_words(digits[:3], [3]))
-    return GroupedReadings(digits)
+    # the first ``head`` digits are one group, always read the same way: a
+    # mobile's 09XX, a landline's area code 0XX; an 8-digit landline has none
+    head = 4 if kind is PhoneKind.MOBILE else len(digits) - 8
+    return GroupedReadings(
+        digits[head:], grouped_digit_words(digits[:head], [head]) if head else "")
 
 
 def grouped_id_readings(digits: str, cls: SemioticClass) -> GroupedReadings:
@@ -270,29 +267,9 @@ def grouped_id_readings(digits: str, cls: SemioticClass) -> GroupedReadings:
     return GroupedReadings(digits)
 
 
-# --- symbols, currencies, abbreviations ------------------------------------
-
-_CLASS_TABLES = {
-    SemioticClass.SYMBOL: SYMBOLS,
-    SemioticClass.CURRENCY: CURRENCIES,
-    SemioticClass.MATH_SYMBOL: MATH_SYMBOLS,
-}
-
-
-def verbalize_symbol(token: str, cls: SemioticClass = SemioticClass.SYMBOL) -> str:
-    return _CLASS_TABLES[cls][token]
-
-
-def verbalize_fraction(numerator: int, denominator: int) -> str:
-    return f"{cardinal_words(numerator)} {ordinal_words(denominator)}"
-
+# --- abbreviations ---------------------------------------------------------
 
 _LETTER_NAMES = table("letter_names")
-
-
-def spell_latin_letters(token: str) -> str:
-    letters = [_LETTER_NAMES[ch.lower()] for ch in token if ch.isalpha()]
-    return ZWNJ.join(letters)
 
 
 def expand_abbreviation(token: str) -> str:
@@ -300,7 +277,7 @@ def expand_abbreviation(token: str) -> str:
     if token in ABBREV_FA:
         return ABBREV_FA[token]
     if re.fullmatch(r"[A-Za-z.]+", token) and any(c.isalpha() for c in token):
-        return spell_latin_letters(token)
+        return ZWNJ.join(_LETTER_NAMES[c.lower()] for c in token if c.isalpha())
     return token
 
 
@@ -329,32 +306,14 @@ def verbalize_url_email(raw: str, style: str = "latin") -> str:
 
 # --- the readings of each class --------------------------------------------
 
-def _grouped_id(span: SemioticSpan) -> GroupedReadings:
-    return grouped_id_readings(span.raw, span.cls)
-
-
-def _url_email(span: SemioticSpan) -> list[str]:
-    return [verbalize_url_email(span.raw)]
-
-
 def _currency(span: SemioticSpan) -> list[str]:
-    name = verbalize_symbol(span.data["symbol"], SemioticClass.CURRENCY)
+    name = CURRENCIES[span.data["symbol"]]
     amount = span.data.get("amount")
     if not amount:
         return [name]
     integer, dot, fraction = ascii_digits(amount).partition(".")
     words = decimal_words(integer, fraction) if dot else cardinal_words(int(integer))
     return [f"{words} {name}"]
-
-
-def _symbol(span: SemioticSpan) -> list[str]:
-    if "numerator" in span.data:
-        return [verbalize_fraction(span.data["numerator"], span.data["denominator"])]
-    return [verbalize_symbol(span.raw, span.cls)]
-
-
-def _abbreviation(span: SemioticSpan) -> list[str]:
-    return [expand_abbreviation(span.raw)]
 
 
 # class -> span -> every legitimate reading of the span, in the order a FIXED
@@ -364,17 +323,20 @@ READINGS: dict[SemioticClass, Callable[[SemioticSpan], Sequence[str]]] = {
     SemioticClass.TIME: lambda span: time_variants(
         span.data["hour"], span.data["minute"], span.data["second"]),
     SemioticClass.PHONE: lambda span: phone_readings(span.raw, span.data["kind"]),
-    SemioticClass.NATIONAL_ID: _grouped_id,
-    SemioticClass.CARD_NUMBER: _grouped_id,
-    SemioticClass.SHEBA: _grouped_id,
-    SemioticClass.LONG_NUMBER: _grouped_id,
-    SemioticClass.URL: _url_email,
-    SemioticClass.EMAIL: _url_email,
+    SemioticClass.NATIONAL_ID: lambda span: grouped_id_readings(span.raw, span.cls),
+    SemioticClass.CARD_NUMBER: lambda span: grouped_id_readings(span.raw, span.cls),
+    SemioticClass.SHEBA: lambda span: grouped_id_readings(span.raw, span.cls),
+    SemioticClass.LONG_NUMBER: lambda span: grouped_id_readings(span.raw, span.cls),
+    SemioticClass.URL: lambda span: [verbalize_url_email(span.raw)],
+    SemioticClass.EMAIL: lambda span: [verbalize_url_email(span.raw)],
     SemioticClass.CURRENCY: _currency,
-    SemioticClass.SYMBOL: _symbol,
-    SemioticClass.MATH_SYMBOL: _symbol,
-    SemioticClass.ABBREV_FA: _abbreviation,
-    SemioticClass.ABBREV_EN: _abbreviation,
+    SemioticClass.SYMBOL: lambda span: [SYMBOLS[span.raw]],
+    SemioticClass.MATH_SYMBOL: lambda span: [
+        f"{cardinal_words(span.data['numerator'])} "
+        f"{ordinal_words(span.data['denominator'])}"
+        if "numerator" in span.data else MATH_SYMBOLS[span.raw]],
+    SemioticClass.ABBREV_FA: lambda span: [expand_abbreviation(span.raw)],
+    SemioticClass.ABBREV_EN: lambda span: [expand_abbreviation(span.raw)],
     SemioticClass.DECIMAL: lambda span: [
         decimal_words(span.data["integer"], span.data["fraction"])],
     SemioticClass.PLAIN_NUMBER: lambda span: [

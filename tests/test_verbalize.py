@@ -8,18 +8,19 @@ from persian_norm import (
     PhoneKind,
     SemioticClass,
     SelectionPolicy,
+    enumerate_verbalizations,
     expand_abbreviation,
-    verbalize_symbol,
+    scan,
     verbalize_url_email,
 )
 from persian_norm.numwords import grouped_digit_words
 from persian_norm.verbalize import (
+    READINGS,
     compositions,
     date_variants,
     grouped_id_readings,
     phone_readings,
     time_variants,
-    verbalize_fraction,
 )
 
 
@@ -118,6 +119,32 @@ def test_phone_seeded_determinism():
     assert a == b
 
 
+def test_landline_with_area_code_family():
+    assert enumerate_verbalizations("02112345678") == [
+        "صفر بیست و یک صد و بیست و سه چهارصد و پنجاه و شش هفتاد و هشت",
+        "صفر بیست و یک صد و بیست و سه چهل و پنج ششصد و هفتاد و هشت",
+        "صفر بیست و یک دوازده سیصد و چهل و پنج ششصد و هفتاد و هشت",
+        "صفر بیست و یک دوازده سی و چهار پنجاه و شش هفتاد و هشت",
+    ]
+
+
+def test_landline_after_cue_word_family():
+    assert enumerate_verbalizations("تلفن 22334455") == [
+        "تلفن دویست و بیست و سه سیصد و چهل و چهار پنجاه و پنج",
+        "تلفن دویست و بیست و سه سی و چهار چهارصد و پنجاه و پنج",
+        "تلفن بیست و دو سیصد و سی و چهار چهارصد و پنجاه و پنج",
+        "تلفن بیست و دو سی و سه چهل و چهار پنجاه و پنج",
+    ]
+
+
+def test_mobile_with_a_zero_in_its_prefix_family():
+    assert enumerate_verbalizations("09011234567") == [
+        "صفر نهصد و یک صد و بیست و سه چهل و پنج شصت و هفت",
+        "صفر نهصد و یک دوازده سیصد و چهل و پنج شصت و هفت",
+        "صفر نهصد و یک دوازده سی و چهار پانصد و شصت و هفت",
+    ]
+
+
 def test_national_id_row_one():
     variants = grouped_id_readings("0523924984", SemioticClass.NATIONAL_ID).readings()
     assert "صفر پنج بیست و سه نود و دو چهل و نه هشتاد و چهار" in variants
@@ -162,26 +189,28 @@ def test_digit_conservation_phone():
             assert words == " ".join(expected)
 
 
+def _readings(text, cls):
+    """The readings of the one span ``scan`` finds in ``text``, of ``cls``."""
+    (span,) = scan(text)
+    assert span.cls is cls
+    return list(READINGS[span.cls](span))
+
+
 def test_symbol_percent():
-    assert verbalize_symbol("%") == "درصد"
+    assert _readings("%", SemioticClass.SYMBOL) == ["درصد"]
 
 
 def test_symbol_currency_dollar():
-    assert verbalize_symbol("$", SemioticClass.CURRENCY) == "دلار"
+    assert _readings("$", SemioticClass.CURRENCY) == ["دلار"]
 
 
 def test_symbol_math_half():
-    assert verbalize_symbol("½", SemioticClass.MATH_SYMBOL) == "یک دوم"
-
-
-def test_symbol_unknown_rejected():
-    with pytest.raises(KeyError):
-        verbalize_symbol("☃")
+    assert _readings("½", SemioticClass.MATH_SYMBOL) == ["یک دوم"]
 
 
 def test_fraction_reading():
-    assert verbalize_fraction(1, 2) == "یک دوم"
-    assert verbalize_fraction(3, 4) == "سه چهارم"
+    assert _readings("1/2", SemioticClass.MATH_SYMBOL) == ["یک دوم"]
+    assert _readings("3/4", SemioticClass.MATH_SYMBOL) == ["سه چهارم"]
 
 
 def test_abbrev_persian():
