@@ -30,6 +30,8 @@ FRACTION_PLACES = ["دهم", "صدم", "هزارم"]
 
 CONJ = " و "
 
+ZEROS = "0۰٠"  # ASCII, Persian and Arabic-Indic
+
 
 def _three_digit_words(n: int) -> str:
     parts = []
@@ -100,7 +102,7 @@ def decimal_words(integer_part: str, fraction_part: str) -> str:
     """Read a decimal number: integer, "ممیز", fraction with place value."""
     if not integer_part or not fraction_part:
         raise ValueError("both integer and fraction parts must be non-empty")
-    if not (integer_part.isdigit() and fraction_part.isdigit()):
+    if not (integer_part.isdecimal() and fraction_part.isdecimal()):
         raise ValueError("decimal parts must be digit strings")
     int_words = cardinal_words(int(integer_part))
     if len(fraction_part) <= len(FRACTION_PLACES):
@@ -114,10 +116,11 @@ def decimal_words(integer_part: str, fraction_part: str) -> str:
 def grouped_digit_words(digits: str, group_sizes: list[int]) -> str:
     """Read a digit string group by group (phone/ID style).
 
-    A group's leading zeros are each read "صفر"; the remainder is a cardinal.
-    Groups are joined by single spaces without a conjunction.
+    A group's leading zeros, each one of ``ZEROS``, are each read "صفر";
+    the remainder is a cardinal.  Groups are joined by single spaces
+    without a conjunction.
     """
-    if not digits.isdigit():
+    if not digits.isdecimal():
         raise ValueError("digits must be a digit string")
     if any(s not in (1, 2, 3, 4) for s in group_sizes):
         raise ValueError(f"group sizes must be in 1..4: {group_sizes}")
@@ -130,11 +133,22 @@ def grouped_digit_words(digits: str, group_sizes: list[int]) -> str:
     for size in group_sizes:
         group = digits[pos:pos + size]
         pos += size
-        stripped = group.lstrip("0")
+        stripped = group.lstrip(ZEROS)
         words.extend([ONES[0]] * (len(group) - len(stripped)))
         if stripped:
             words.append(cardinal_words(int(stripped)))
     return " ".join(words)
+
+
+def _word_ends(group: str) -> int:
+    """Bit k-1 set where a word of the group's reading ends after digit k.
+
+    Each leading zero is one word ("صفر"), the rest one cardinal; two
+    groupings of a digit string read the same exactly when their words end
+    at the same digits.
+    """
+    zeros = len(group) - len(group.lstrip(ZEROS))
+    return ((1 << zeros) - 1) | (1 << (len(group) - 1))
 
 
 def _scale_tokens(words: str) -> list[str]:

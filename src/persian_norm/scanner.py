@@ -23,7 +23,7 @@ MATH_SYMBOLS = table("math_symbols")
 ABBREV_FA = table("abbrev_fa")
 
 # any digit as it may appear in scanned text (ASCII, Persian or Arabic-Indic);
-# ``int`` reads all three, so only a digit string kept as a string is converted
+# ``int`` and ``numwords`` read all three; ``ascii_digits`` serves the checks below
 _DIGITS = "0123456789۰۱۲۳۴۵۶۷۸۹٠١٢٣٤٥٦٧٨٩"
 _TO_ASCII = str.maketrans(_DIGITS, "0123456789" * 3)
 D = f"[{_DIGITS}]"
@@ -136,7 +136,7 @@ def classify_phone(digits: str, left_context: str = "",
                    right_context: str = "") -> PhoneKind | None:
     """Classify a digit run as a phone number from shape and context."""
     digits = ascii_digits(digits)
-    if not digits.isdigit():
+    if not digits.isdecimal():
         return None
     if len(digits) == 11 and digits.startswith("09"):
         return PhoneKind.MOBILE
@@ -156,7 +156,7 @@ def _all_same(digits: str) -> bool:
 def validate_national_id(digits: str) -> bool:
     """Iranian national-ID mod-11 checksum (all-same strings rejected)."""
     digits = ascii_digits(digits)
-    if len(digits) != 10 or not digits.isdigit():
+    if len(digits) != 10 or not digits.isdecimal():
         raise ValueError("national ID must be exactly 10 digits")
     if _all_same(digits):
         return False
@@ -169,7 +169,7 @@ def validate_national_id(digits: str) -> bool:
 def validate_card(digits: str) -> bool:
     """Luhn mod-10 check for 16-digit card numbers (all-same rejected)."""
     digits = ascii_digits(digits)
-    if len(digits) != 16 or not digits.isdigit():
+    if len(digits) != 16 or not digits.isdecimal():
         raise ValueError("card number must be exactly 16 digits")
     if _all_same(digits):
         return False
@@ -189,7 +189,7 @@ def validate_sheba(candidate: str) -> bool:
     candidate = ascii_digits(candidate.strip())
     if len(candidate) != 26 or not candidate.startswith("IR"):
         return False
-    if not candidate[2:].isdigit():
+    if not candidate[2:].isdecimal():
         return False
     rearranged = candidate[4:] + "1827" + candidate[2:4]  # I=18, R=27
     return int(rearranged) % 97 == 1
@@ -313,8 +313,7 @@ _DECIMAL_PAT = re.compile(rf"({D}(?<!{D}{D}){D}{{0,14}})\.({D}+)(?!{D})")
 
 def _decimal(m, text):
     return (SemioticClass.DECIMAL, m.start(), m.end(),
-            {"integer": ascii_digits(m.group(1)),
-             "fraction": ascii_digits(m.group(2))})
+            {"integer": m.group(1), "fraction": m.group(2)})
 
 
 # a whole run of 16 digits or more

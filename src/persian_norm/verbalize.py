@@ -13,7 +13,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numwords import ZWNJ, cardinal_words, decimal_words, grouped_digit_words, ordinal_words
+from .numwords import (
+    ZWNJ, _word_ends, cardinal_words, decimal_words, grouped_digit_words, ordinal_words)
 from .resources import rows, table
 from .scanner import (
     ABBREV_FA,
@@ -25,7 +26,6 @@ from .scanner import (
     PhoneKind,
     SemioticClass,
     SemioticSpan,
-    ascii_digits,
 )
 
 
@@ -236,35 +236,12 @@ class GroupedReadings:
         return out
 
 
-def _word_ends(group: str) -> int:
-    """Bit k-1 set where a word of the group's reading ends after digit k.
-
-    Each leading zero is one word ("صفر"), the rest one cardinal; two
-    groupings of a digit string read the same exactly when their words end
-    at the same digits.
-    """
-    zeros = len(group) - len(group.lstrip("0"))
-    return ((1 << zeros) - 1) | (1 << (len(group) - 1))
-
-
 def phone_readings(digits: str, kind: PhoneKind) -> GroupedReadings:
-    digits = ascii_digits(digits)
     # the first ``head`` digits are one group, always read the same way: a
     # mobile's 09XX, a landline's area code 0XX; an 8-digit landline has none
     head = 4 if kind is PhoneKind.MOBILE else len(digits) - 8
     return GroupedReadings(
         digits[head:], grouped_digit_words(digits[:head], [head]) if head else "")
-
-
-def grouped_id_readings(digits: str, cls: SemioticClass) -> GroupedReadings:
-    digits = ascii_digits(digits)
-    if cls is SemioticClass.SHEBA:
-        body = digits[2:] if digits.startswith("IR") else digits
-        return GroupedReadings(body, "آی آر")
-    if cls is SemioticClass.CARD_NUMBER:
-        # cards default to the fixed 2x8 grouping; other splits follow
-        return GroupedReadings(digits, lead=(2,) * 8)
-    return GroupedReadings(digits)
 
 
 # --- abbreviations ---------------------------------------------------------
@@ -311,7 +288,7 @@ def _currency(span: SemioticSpan) -> list[str]:
     amount = span.data.get("amount")
     if not amount:
         return [name]
-    integer, dot, fraction = ascii_digits(amount).partition(".")
+    integer, dot, fraction = amount.partition(".")
     words = decimal_words(integer, fraction) if dot else cardinal_words(int(integer))
     return [f"{words} {name}"]
 
@@ -323,10 +300,12 @@ READINGS: dict[SemioticClass, Callable[[SemioticSpan], Sequence[str]]] = {
     SemioticClass.TIME: lambda span: time_variants(
         span.data["hour"], span.data["minute"], span.data["second"]),
     SemioticClass.PHONE: lambda span: phone_readings(span.raw, span.data["kind"]),
-    SemioticClass.NATIONAL_ID: lambda span: grouped_id_readings(span.raw, span.cls),
-    SemioticClass.CARD_NUMBER: lambda span: grouped_id_readings(span.raw, span.cls),
-    SemioticClass.SHEBA: lambda span: grouped_id_readings(span.raw, span.cls),
-    SemioticClass.LONG_NUMBER: lambda span: grouped_id_readings(span.raw, span.cls),
+    SemioticClass.NATIONAL_ID: lambda span: GroupedReadings(span.raw),
+    # cards default to the fixed 2x8 grouping; other splits follow
+    SemioticClass.CARD_NUMBER: lambda span: GroupedReadings(span.raw, lead=(2,) * 8),
+    # the row's pattern starts with "IR"
+    SemioticClass.SHEBA: lambda span: GroupedReadings(span.raw[2:], "آی آر"),
+    SemioticClass.LONG_NUMBER: lambda span: GroupedReadings(span.raw),
     SemioticClass.URL: lambda span: [verbalize_url_email(span.raw)],
     SemioticClass.EMAIL: lambda span: [verbalize_url_email(span.raw)],
     SemioticClass.CURRENCY: _currency,

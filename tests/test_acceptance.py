@@ -30,8 +30,8 @@ from persian_norm import (
 )
 from persian_norm.numwords import MAX_VALUE, group_words_to_digits, grouped_digit_words
 from persian_norm.resources import fixture_path, table
-from persian_norm.verbalize import compositions, grouped_id_readings, phone_readings
-from persian_norm.scanner import SemioticClass
+from persian_norm.verbalize import READINGS, compositions, phone_readings
+from persian_norm.scanner import SemioticClass, SemioticSpan
 
 N_PROPERTY = 10_000
 
@@ -207,7 +207,8 @@ def test_criterion_5_property_suites():
 
     for _ in range(N_PROPERTY):
         digits = "".join(str(rng.randrange(10)) for _ in range(10))
-        for words in grouped_id_readings(digits, SemioticClass.NATIONAL_ID).readings():
+        span = SemioticSpan(0, 10, SemioticClass.NATIONAL_ID, digits, {})
+        for words in READINGS[SemioticClass.NATIONAL_ID](span).readings():
             assert not any(ch.isdigit() for ch in words)
 
     for _ in range(N_PROPERTY):

@@ -118,6 +118,11 @@ def test_decimal_rejects_non_digits():
         decimal_words("1", "2a")
 
 
+def test_decimal_rejects_superscript_digits():
+    with pytest.raises(ValueError, match="digit strings"):
+        decimal_words("1", "²")
+
+
 def test_grouped_leading_zero():
     assert grouped_digit_words("04", [2]) == "صفر چهار"
 
@@ -134,6 +139,11 @@ def test_grouped_triple_with_zero():
     assert grouped_digit_words("052", [3]) == "صفر پنجاه و دو"
 
 
+def test_grouped_reads_zeros_in_every_script():
+    assert grouped_digit_words("۰۹۱۲", [4]) == "صفر نهصد و دوازده"
+    assert grouped_digit_words("٠٠٥", [3]) == "صفر صفر پنج"
+
+
 def test_grouped_size_mismatch():
     with pytest.raises(ValueError):
         grouped_digit_words("123", [2, 2])
@@ -144,6 +154,11 @@ def test_grouped_rejects_non_digits_and_large_groups():
         grouped_digit_words("12a", [3])
     with pytest.raises(ValueError):
         grouped_digit_words("12345", [5])
+
+
+def test_grouped_rejects_superscript_digits():
+    with pytest.raises(ValueError, match="digit string"):
+        grouped_digit_words("1²", [2])
 
 
 def test_words_to_number_base_cases():

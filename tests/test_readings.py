@@ -11,6 +11,7 @@ from persian_norm import (
     PipelineConfig,
     SelectionPolicy,
     SemioticClass,
+    SemioticSpan,
     enumerate_verbalizations,
     normalize_general,
     normalize_speech,
@@ -26,7 +27,6 @@ from persian_norm.verbalize import (
     composition_at,
     composition_count,
     compositions,
-    grouped_id_readings,
     phone_readings,
     time_variants,
 )
@@ -62,6 +62,11 @@ def _sheba(rng):
 
 def _mobile(rng):
     return "09" + _digits(rng, 9)
+
+
+def _id_readings(digits, cls):
+    """The readings ``READINGS`` gives a span of ``cls`` written ``digits``."""
+    return READINGS[cls](SemioticSpan(0, len(digits), cls, digits, {}))
 
 
 def _all(family):
@@ -117,8 +122,8 @@ def test_families_match_variant_lists():
                             (_sheba(rng), SemioticClass.SHEBA),
                             (_digits(rng, rng.randrange(16, 26)),
                              SemioticClass.LONG_NUMBER)):
-            assert _all(grouped_id_readings(digits, cls)) == \
-                grouped_id_readings(digits, cls).readings()
+            assert _all(_id_readings(digits, cls)) == \
+                _id_readings(digits, cls).readings()
 
 
 def test_cards_with_zero_runs_match_variant_list():
@@ -126,21 +131,49 @@ def test_cards_with_zero_runs_match_variant_list():
     rng = random.Random(3)
     for _ in range(200):
         digits = "".join(rng.choice("0001") for _ in range(16))
-        family = grouped_id_readings(digits, SemioticClass.CARD_NUMBER)
-        assert _all(family) == grouped_id_readings(
+        family = _id_readings(digits, SemioticClass.CARD_NUMBER)
+        assert _all(family) == _id_readings(
             digits, SemioticClass.CARD_NUMBER).readings()
 
 
 def test_card_with_a_second_fixed_reading():
-    family = grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
+    family = _id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
     assert len(family) == 36
-    assert _all(family) == grouped_id_readings(
+    assert _all(family) == _id_readings(
         "6050000010942098", SemioticClass.CARD_NUMBER).readings()
 
 
 def test_negative_index_counts_from_the_end():
-    family = grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
+    family = _id_readings("6050000010942098", SemioticClass.CARD_NUMBER)
     assert family[-1] == family.readings()[-1]
+
+
+_SCRIPTS = [str.maketrans("", ""),
+            str.maketrans("0123456789", "۰۱۲۳۴۵۶۷۸۹"),
+            str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")]
+
+
+@pytest.mark.parametrize("cls, raw, data", [
+    (SemioticClass.PHONE, "09121234567", {"kind": PhoneKind.MOBILE}),
+    (SemioticClass.PHONE, "02112345678", {"kind": PhoneKind.LANDLINE}),
+    (SemioticClass.NATIONAL_ID, "0523924984", {}),
+    (SemioticClass.CARD_NUMBER, "6050000010942098", {}),
+    (SemioticClass.SHEBA, "IR820540102680020817909002", {}),
+    (SemioticClass.LONG_NUMBER, "10020003000040000500", {}),
+])
+def test_families_read_every_digit_script_alike(cls, raw, data):
+    # ASCII, Persian and Arabic-Indic digits: the same readings, zeros and all
+    families = [READINGS[cls](SemioticSpan(0, len(raw), cls, raw.translate(t), data))
+                for t in _SCRIPTS]
+    firsts = [[f[i] for i in range(min(50, len(f)))] for f in families]
+    assert firsts[1] == firsts[0] and firsts[2] == firsts[0]
+    assert len(families[1]) == len(families[0]) == len(families[2])
+
+
+def test_digit_groups_count_zeros_in_every_script():
+    card = "۶۰۵۰۰۰۰۰۱۰۹۴۲۰۹۸"  # 6050000010942098
+    assert len(GroupedReadings(card, lead=(2,) * 8)) == 36
+    assert GroupedReadings("٠٥٢٣٩٢٤٩٨٤")[0].startswith("صفر ")
 
 
 def test_every_class_has_readings():
@@ -149,20 +182,20 @@ def test_every_class_has_readings():
 
 def test_families_are_sequences_of_their_readings():
     rng = random.Random(13)
-    families = [grouped_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)]
+    families = [_id_readings("6050000010942098", SemioticClass.CARD_NUMBER)]
     for _ in range(20):
         families += [
             phone_readings(_mobile(rng), PhoneKind.MOBILE),
             phone_readings("021" + _digits(rng, 8), PhoneKind.LANDLINE),
             phone_readings(_digits(rng, 8), PhoneKind.LANDLINE),
-            grouped_id_readings(_national_id(rng), SemioticClass.NATIONAL_ID),
-            grouped_id_readings(_sheba(rng), SemioticClass.SHEBA),
-            grouped_id_readings(_digits(rng, rng.randrange(16, 26)),
-                                SemioticClass.LONG_NUMBER),
+            _id_readings(_national_id(rng), SemioticClass.NATIONAL_ID),
+            _id_readings(_sheba(rng), SemioticClass.SHEBA),
+            _id_readings(_digits(rng, rng.randrange(16, 26)),
+                         SemioticClass.LONG_NUMBER),
         ]
     for _ in range(200):
         zero_heavy = "".join(rng.choice("0001") for _ in range(16))
-        families.append(grouped_id_readings(zero_heavy, SemioticClass.CARD_NUMBER))
+        families.append(_id_readings(zero_heavy, SemioticClass.CARD_NUMBER))
     for family in families:
         assert list(family) == family.readings()
         with pytest.raises(IndexError):
@@ -179,7 +212,7 @@ def test_enumeration_is_the_product_of_every_reading():
     assert [s.cls for s in spans] == [SemioticClass.CARD_NUMBER,
                                       SemioticClass.PHONE, SemioticClass.TIME]
     lists = [
-        grouped_id_readings("6104337852441441", SemioticClass.CARD_NUMBER).readings(),
+        _id_readings("6104337852441441", SemioticClass.CARD_NUMBER).readings(),
         phone_readings("09397796915", PhoneKind.MOBILE).readings(),
         time_variants(11, 35),
     ]

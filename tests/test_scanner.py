@@ -198,6 +198,11 @@ def test_classify_phone_non_digit():
     assert classify_phone("0912345678x") is None
 
 
+def test_classify_phone_superscript_digit():
+    # "²".isdigit() holds, but it is no decimal digit
+    assert classify_phone("0912345678²") is None
+
+
 def test_national_id_valid():
     assert validate_national_id("0523924984") is True
 
@@ -215,6 +220,11 @@ def test_national_id_length_error():
         validate_national_id("123")
 
 
+def test_national_id_superscript_digit_is_a_length_error():
+    with pytest.raises(ValueError, match="exactly 10 digits"):
+        validate_national_id("052392498²")
+
+
 def test_card_valid():
     assert validate_card("6104337852441441") is True
 
@@ -230,6 +240,11 @@ def test_card_all_same_rejected():
 def test_card_length_error():
     with pytest.raises(ValueError):
         validate_card("6104")
+
+
+def test_card_superscript_digit_is_a_length_error():
+    with pytest.raises(ValueError, match="exactly 16 digits"):
+        validate_card("610433785244144²")
 
 
 def _make_iban(body22: str) -> str:
@@ -255,6 +270,10 @@ def test_sheba_wrong_prefix():
 
 def test_sheba_non_digit_body():
     assert validate_sheba("IR" + "1" * 23 + "x") is False
+
+
+def test_sheba_superscript_body_is_malformed():
+    assert validate_sheba("IR" + "²" * 24) is False
 
 
 def test_sheba_bad_check_digits():
@@ -287,6 +306,14 @@ def test_decimal_span():
     spans = scan("عدد 3.14 است")
     assert [s.cls for s in spans] == [SemioticClass.DECIMAL]
     assert spans[0].data == {"integer": "3", "fraction": "14"}
+
+
+def test_decimal_span_keeps_its_digits_as_written():
+    # as a currency amount does
+    spans = scan("عدد ۳.۱۴ است")
+    assert [s.cls for s in spans] == [SemioticClass.DECIMAL]
+    assert spans[0].data == {"integer": "۳", "fraction": "۱۴"}
+    assert scan("۲۵$")[0].data == {"symbol": "$", "amount": "۲۵"}
 
 
 def test_currency_number_then_symbol():

@@ -7,6 +7,7 @@ from persian_norm import (
     CalendarDate,
     PhoneKind,
     SemioticClass,
+    SemioticSpan,
     SelectionPolicy,
     enumerate_verbalizations,
     expand_abbreviation,
@@ -18,10 +19,14 @@ from persian_norm.verbalize import (
     READINGS,
     compositions,
     date_variants,
-    grouped_id_readings,
     phone_readings,
     time_variants,
 )
+
+
+def _id_readings(digits, cls):
+    """The readings ``READINGS`` gives a span of ``cls`` written ``digits``."""
+    return READINGS[cls](SemioticSpan(0, len(digits), cls, digits, {}))
 
 
 def test_compositions_of_seven():
@@ -146,17 +151,17 @@ def test_mobile_with_a_zero_in_its_prefix_family():
 
 
 def test_national_id_row_one():
-    variants = grouped_id_readings("0523924984", SemioticClass.NATIONAL_ID).readings()
+    variants = _id_readings("0523924984", SemioticClass.NATIONAL_ID).readings()
     assert "صفر پنج بیست و سه نود و دو چهل و نه هشتاد و چهار" in variants
 
 
 def test_national_id_row_two():
-    variants = grouped_id_readings("0523924984", SemioticClass.NATIONAL_ID).readings()
+    variants = _id_readings("0523924984", SemioticClass.NATIONAL_ID).readings()
     assert "صفر پنجاه و دو سی و نه دویست و چهل و نه هشتاد و چهار" in variants
 
 
 def test_card_default_pairs():
-    family = grouped_id_readings("6104337852441441", SemioticClass.CARD_NUMBER)
+    family = _id_readings("6104337852441441", SemioticClass.CARD_NUMBER)
     assert SelectionPolicy.fixed().choose(family) == (
         "شصت و یک صفر چهار سی و سه هفتاد و هشت "
         "پنجاه و دو چهل و چهار چهارده چهل و یک"
@@ -165,12 +170,12 @@ def test_card_default_pairs():
 
 def test_single_group():
     assert SelectionPolicy.fixed().choose(
-        grouped_id_readings("22", SemioticClass.LONG_NUMBER)) == "بیست و دو"
+        _id_readings("22", SemioticClass.LONG_NUMBER)) == "بیست و دو"
 
 
 def test_sheba_prefix_spelled():
     out = SelectionPolicy.fixed().choose(
-        grouped_id_readings("IR062960000000100324200001", SemioticClass.SHEBA))
+        _id_readings("IR062960000000100324200001", SemioticClass.SHEBA))
     assert out.startswith("آی آر ")
 
 

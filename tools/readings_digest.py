@@ -1,0 +1,118 @@
+"""Print one SHA-256 per benchmark workload over everything the program
+reads from it, so that two source trees can be compared output for output.
+
+Usage: python tools/readings_digest.py SRC_DIR
+
+``SRC_DIR`` is the ``src/`` directory of the tree under test; the tool
+exits 2 unless ``persian_norm`` is imported from under it.  The workloads
+come from ``perfbench/workloads.py`` beside this tool, at seeds 1-3.  Their
+texts are the docs and each item that is not a line of a doc, as generated
+and with their ASCII digits rewritten in Persian and in Arabic-Indic digits
+(a text met again is skipped).  For each text and each of two configs, the
+default one and one with the ``fold_digits`` pass off, the hash takes:
+
+* for each span of ``scan(normalize_general(text))``, its class, its text,
+  its number of readings and its first 50 readings;
+* ``normalize_speech`` under ``fixed(0..3)`` and ``seeded(1..3)``, but
+  under the first policy only on a text without a span, where a policy has
+  nothing to pick, and with the fold on, on a digit-script copy, which the
+  fold gives the digits of the text as generated;
+* and, once per text, ``split_sentences``.
+
+Two trees give the same output when every line printed is the same:
+
+    python tools/readings_digest.py base/src > base.txt
+    python tools/readings_digest.py src > head.txt
+    cmp -s base.txt head.txt && echo same || echo differs
+
+The seeds run in two worker processes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+SCRIPTS = (
+    str.maketrans("", ""),
+    str.maketrans("0123456789", "۰۱۲۳۴۵۶۷۸۹"),
+    str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"),
+)
+READINGS_SHOWN = 50
+WORKERS = 2
+
+
+def _import(src: Path):
+    """``persian_norm`` from under ``src``, and ``perfbench/workloads``."""
+    for path in (str(ROOT / "perfbench"), str(src)):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import persian_norm
+    import workloads
+    return persian_norm, workloads
+
+
+def seed_digest(src: Path, name: str, seed: int) -> str:
+    pn, workloads = _import(src)
+    policies = [pn.SelectionPolicy.fixed(i) for i in range(4)]
+    policies += [pn.SelectionPolicy.seeded(s) for s in SEEDS]
+    folds = [pn.PipelineConfig(), pn.PipelineConfig().disable("fold_digits")]
+    digest = hashlib.sha256()
+
+    def add(*values):
+        digest.update(repr(values).encode("utf-8"))
+
+    wl = workloads.build(name, seed)
+    lines = {line for doc in wl.docs for line in doc.splitlines()}
+    texts = wl.docs + [item for item in wl.items if item not in lines]
+    seen = set()
+    for script in SCRIPTS:
+        for text in texts:
+            text = text.translate(script)
+            if text in seen:
+                continue
+            seen.add(text)
+            for fold in folds:
+                spans = pn.scan(pn.normalize_general(text, fold))
+                for span in spans:
+                    family = pn.verbalize.span_variants(span)
+                    count = pn.verbalize.option_count(family)
+                    shown = [family[i] for i in range(min(count, READINGS_SHOWN))]
+                    add(span.cls.name, span.raw, count, shown)
+                every = spans and (script is SCRIPTS[0] or fold is folds[1])
+                add([pn.normalize_speech(text, pn.PipelineConfig(fold.enabled_passes, p))
+                     for p in (policies if every else policies[:1])])
+            add(pn.split_sentences(text))
+    return digest.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve()
+    try:
+        pn, workloads = _import(src)
+    except ImportError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    if not Path(pn.__file__).resolve().is_relative_to(src):
+        print(f"error: persian_norm is imported from {pn.__file__}, "
+              f"not from under {src}", file=sys.stderr)
+        return 2
+    jobs = [(name, seed) for name in workloads.WORKLOADS for seed in SEEDS]
+    with ProcessPoolExecutor(WORKERS) as pool:
+        digests = pool.map(seed_digest, *zip(*((src, n, s) for n, s in jobs)))
+        by_job = dict(zip(jobs, digests))
+    for name in workloads.WORKLOADS:
+        seeds = " ".join(by_job[name, seed] for seed in SEEDS)
+        print(name, hashlib.sha256(seeds.encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
