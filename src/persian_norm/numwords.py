@@ -30,7 +30,8 @@ FRACTION_PLACES = ["دهم", "صدم", "هزارم"]
 
 CONJ = " و "
 
-ZEROS = "0۰٠"  # ASCII, Persian and Arabic-Indic
+DIGITS = "0123456789۰۱۲۳۴۵۶۷۸۹٠١٢٣٤٥٦٧٨٩"  # ASCII, Persian, Arabic-Indic
+ZEROS = DIGITS[::10]
 
 
 def _three_digit_words(n: int) -> str:
@@ -102,8 +103,8 @@ def decimal_words(integer_part: str, fraction_part: str) -> str:
     """Read a decimal number: integer, "ممیز", fraction with place value."""
     if not integer_part or not fraction_part:
         raise ValueError("both integer and fraction parts must be non-empty")
-    if not (integer_part.isdecimal() and fraction_part.isdecimal()):
-        raise ValueError("decimal parts must be digit strings")
+    if integer_part.lstrip(DIGITS) or fraction_part.lstrip(DIGITS):
+        raise ValueError("decimal parts must be digit strings of the three scripts")
     int_words = cardinal_words(int(integer_part))
     if len(fraction_part) <= len(FRACTION_PLACES):
         frac_words = cardinal_words(int(fraction_part))
@@ -120,8 +121,8 @@ def grouped_digit_words(digits: str, group_sizes: list[int]) -> str:
     the remainder is a cardinal.  Groups are joined by single spaces
     without a conjunction.
     """
-    if not digits.isdecimal():
-        raise ValueError("digits must be a digit string")
+    if not digits or digits.lstrip(DIGITS):
+        raise ValueError("digits must be a digit string of the three scripts")
     if any(s not in (1, 2, 3, 4) for s in group_sizes):
         raise ValueError(f"group sizes must be in 1..4: {group_sizes}")
     if sum(group_sizes) != len(digits):

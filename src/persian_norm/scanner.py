@@ -13,6 +13,7 @@ from enum import Enum
 from string import ascii_letters
 from typing import NamedTuple
 
+from .numwords import DIGITS
 from .resources import alternation, table
 
 # the spoken-form tables of the classes found by table lookup; ``verbalize``
@@ -22,11 +23,9 @@ SYMBOLS = table("symbols")
 MATH_SYMBOLS = table("math_symbols")
 ABBREV_FA = table("abbrev_fa")
 
-# any digit as it may appear in scanned text (ASCII, Persian or Arabic-Indic);
-# ``int`` and ``numwords`` read all three; ``ascii_digits`` serves the checks below
-_DIGITS = "0123456789۰۱۲۳۴۵۶۷۸۹٠١٢٣٤٥٦٧٨٩"
-_TO_ASCII = str.maketrans(_DIGITS, "0123456789" * 3)
-D = f"[{_DIGITS}]"
+# the digits scanned; ``ascii_digits`` serves the checks below (ASCII only)
+_TO_ASCII = str.maketrans(DIGITS, "0123456789" * 3)
+D = f"[{DIGITS}]"
 
 
 def ascii_digits(s: str) -> str:
@@ -136,7 +135,7 @@ def classify_phone(digits: str, left_context: str = "",
                    right_context: str = "") -> PhoneKind | None:
     """Classify a digit run as a phone number from shape and context."""
     digits = ascii_digits(digits)
-    if not digits.isdecimal():
+    if not (digits.isascii() and digits.isdecimal()):
         return None
     if len(digits) == 11 and digits.startswith("09"):
         return PhoneKind.MOBILE
@@ -156,7 +155,7 @@ def _all_same(digits: str) -> bool:
 def validate_national_id(digits: str) -> bool:
     """Iranian national-ID mod-11 checksum (all-same strings rejected)."""
     digits = ascii_digits(digits)
-    if len(digits) != 10 or not digits.isdecimal():
+    if len(digits) != 10 or not (digits.isascii() and digits.isdecimal()):
         raise ValueError("national ID must be exactly 10 digits")
     if _all_same(digits):
         return False
@@ -169,7 +168,7 @@ def validate_national_id(digits: str) -> bool:
 def validate_card(digits: str) -> bool:
     """Luhn mod-10 check for 16-digit card numbers (all-same rejected)."""
     digits = ascii_digits(digits)
-    if len(digits) != 16 or not digits.isdecimal():
+    if len(digits) != 16 or not (digits.isascii() and digits.isdecimal()):
         raise ValueError("card number must be exactly 16 digits")
     if _all_same(digits):
         return False
@@ -189,7 +188,7 @@ def validate_sheba(candidate: str) -> bool:
     candidate = ascii_digits(candidate.strip())
     if len(candidate) != 26 or not candidate.startswith("IR"):
         return False
-    if not candidate[2:].isdecimal():
+    if not (candidate.isascii() and candidate[2:].isdecimal()):
         return False
     rearranged = candidate[4:] + "1827" + candidate[2:4]  # I=18, R=27
     return int(rearranged) % 97 == 1
@@ -419,27 +418,27 @@ _NUMBER_PAT = re.compile(rf"{D}+")
 _CLASSES = {
     "URL": (True, [(_URL_PAT, _url, _needs(".:", ascii_letters))]),
     "EMAIL": (True, [(_EMAIL_PAT, None, _needs("@"))]),
-    "SHEBA": (False, [(_SHEBA_PAT, _sheba, _needs("I", _DIGITS))]),
-    "DATE": (True, [(_DATE_PAT, _date, _needs("/.-", _DIGITS))]),
-    "TIME": (False, [(_TIME_PAT, _time, _needs(":", _DIGITS))]),
-    "PHONE": (False, [(_DIGIT_RUN_PAT, _digit_run, _needs(_DIGITS))]),
+    "SHEBA": (False, [(_SHEBA_PAT, _sheba, _needs("I", DIGITS))]),
+    "DATE": (True, [(_DATE_PAT, _date, _needs("/.-", DIGITS))]),
+    "TIME": (False, [(_TIME_PAT, _time, _needs(":", DIGITS))]),
+    "PHONE": (False, [(_DIGIT_RUN_PAT, _digit_run, _needs(DIGITS))]),
     "CARD_NUMBER": (False, []),
     "NATIONAL_ID": (False, []),
-    "DECIMAL": (True, [(_DECIMAL_PAT, _decimal, _needs(".", _DIGITS))]),
-    "LONG_NUMBER": (False, [(_LONG_NUMBER_PAT, None, _needs(_DIGITS))]),
+    "DECIMAL": (True, [(_DECIMAL_PAT, _decimal, _needs(".", DIGITS))]),
+    "LONG_NUMBER": (False, [(_LONG_NUMBER_PAT, None, _needs(DIGITS))]),
     "CURRENCY": (True, [
-        (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, _DIGITS)),
+        (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, DIGITS)),
         (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS))]),
     "ABBREV_EN": (True, [(_ABBREV_EN_PAT, None, _needs(ascii_letters))]),
     "ABBREV_FA": (True, [
         (_ABBREV_FA_PAT, None, _needs(_table_needs(ABBREV_FA, ".(")))]),
     "MATH_SYMBOL": (False, [
-        (_FRACTION_PAT, _fraction, _needs("/", _DIGITS)),
+        (_FRACTION_PAT, _fraction, _needs("/", DIGITS)),
         (alternation(_dotless(MATH_SYMBOLS)), None,
          _needs(_table_needs(MATH_SYMBOLS)))]),
     "SYMBOL": (False, [
         (alternation(_dotless(SYMBOLS)), None, _needs(_table_needs(SYMBOLS)))]),
-    "PLAIN_NUMBER": (False, [(_NUMBER_PAT, None, _needs(_DIGITS))]),
+    "PLAIN_NUMBER": (False, [(_NUMBER_PAT, None, _needs(DIGITS))]),
 }
 
 SemioticClass = Enum("SemioticClass", [(name, name) for name in _CLASSES],

@@ -51,14 +51,19 @@ class SelectionPolicy:
 
     def choose(self, options: Sequence[str], rng: random.Random | None = None) -> str:
         """The option this policy takes: FIXED takes ``index``, or option 0
-        when there are fewer options; SEEDED draws ``rng.randrange(count)``,
-        the same draw as ``rng.choice`` on a list of ``count`` options.
+        when there are fewer, and counts none; SEEDED draws ``randrange(count)``
+        from ``rng``, the same draw as ``rng.choice`` on ``count`` options.
         """
+        if self.seed is None:
+            for index in (self.index, 0):
+                try:
+                    return options[index]
+                except IndexError:
+                    pass
+            raise ValueError("no options to choose from")
         count = option_count(options)
         if count < 1:
             raise ValueError("no options to choose from")
-        if self.seed is None:
-            return options[self.index if self.index < count else 0]
         rng = rng if rng is not None else random.Random(self.seed)
         return options[rng.randrange(count)]
 
@@ -82,44 +87,40 @@ def compositions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _count_window(n: int) -> tuple[int, int, int]:
-    """``(c(n-2), c(n-1), c(n))`` where ``c(m) = len(compositions(m))``.
-
-    Iterates ``c(m) = c(m-3) + c(m-2)`` up from ``c(-2) = c(-1) = 0``,
-    ``c(0) = 1``.
-    """
+def composition_count(n: int) -> int:
+    """``len(compositions(n))``, without building a composition: iterates
+    ``c(m) = c(m-3) + c(m-2)`` up from ``c(-2) = c(-1) = 0``, ``c(0) = 1``."""
     a, b, c = 0, 0, 1
     for _ in range(n):
         a, b, c = b, c, a + b
-    return a, b, c
-
-
-def composition_count(n: int) -> int:
-    """``len(compositions(n))``, without building a composition."""
-    return _count_window(n)[2] if n >= 0 else 0
+    return c if n >= 0 else 0
 
 
 def composition_at(n: int, index: int) -> tuple[int, ...]:
     """``compositions(n)[index]`` for ``0 <= index``, without building the
-    others: a 3 comes first while ``index`` is below the count of the
-    compositions that start with 3."""
-    a, b, c = _count_window(n)
+    others.  The first ``c(n-3)`` compositions of n are a 3 followed by
+    those of n-3, in order, so the count walks up only to the shortest
+    tail m = n (mod 3) whose count passes ``index``, then (n-m)/3 threes
+    lead: a small index builds no count wider than itself."""
+    a, b, c, m = 0, 0, 1, 0  # (c(m-2), c(m-1), c(m))
+    while m < n and (c <= index or (n - m) % 3):
+        a, b, c = b, c, a + b
+        m += 1
     if not 0 <= index < c:
-        raise IndexError(f"composition {index} of {n} out of range ({c})")
-    sizes = []
-    while n:
+        raise IndexError(f"composition {index} of {n} out of range")
+    sizes = [3] * ((n - m) // 3)
+    while m:
         # step the window down with c(m-3) = c(m) - c(m-2)
-        threes = c - a          # c(n-3): those that start with 3
-        c4 = b - threes         # c(n-4)
+        threes = c - a          # c(m-3): those that start with 3
+        c4 = b - threes         # c(m-4)
         if index < threes:
             sizes.append(3)
-            n -= 3
+            m -= 3
             a, b, c = a - c4, c4, threes
         else:
             index -= threes
             sizes.append(2)
-            n -= 2
+            m -= 2
             a, b, c = c4, threes, a
     return tuple(sizes)
 
@@ -263,14 +264,11 @@ def expand_abbreviation(token: str) -> str:
 URL_PATH_LIMIT = 10
 
 
-_URL_SEPARATORS = {
-    style: str.maketrans({ch: f" {word} "
-                          for ch, word in table(f"url_words_{style}").items()})
-    for style in ("latin", "persian")
-}
+_URL_SEPARATORS = str.maketrans(
+    {ch: f" {word} " for ch, word in table("url_words_latin").items()})
 
 
-def verbalize_url_email(raw: str, style: str = "latin") -> str:
+def verbalize_url_email(raw: str) -> str:
     """Spell out URL/email separators; long URL paths are dropped."""
     m = re.match(r"(?P<scheme>[a-zA-Z]+)://(?P<rest>.*)", raw)
     if m:
@@ -278,7 +276,7 @@ def verbalize_url_email(raw: str, style: str = "latin") -> str:
         if path and (len(path) > URL_PATH_LIMIT or "%" in path):
             path = ""
         raw = m.group("scheme") + "://" + host + ("/" + path if path else "")
-    return re.sub(r"\s+", " ", raw.translate(_URL_SEPARATORS[style])).strip()
+    return re.sub(r"\s+", " ", raw.translate(_URL_SEPARATORS)).strip()
 
 
 # --- the readings of each class --------------------------------------------

@@ -13,7 +13,11 @@ import random
 import statistics
 import time
 
+import pytest
+
 from persian_norm import (
+    PipelineConfig,
+    SelectionPolicy,
     SemioticClass,
     normalize_general,
     normalize_speech,
@@ -98,6 +102,16 @@ def test_many_numbers_on_one_line_speech():
 def test_long_digit_run_speech():
     # building every digit-group reading grew as 1.32**n
     growth = _growth(normalize_speech, _digit_run(16), _digit_run(32), calls=20)
+    assert growth < GROWTH_BOUND
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_very_long_digit_run_speech_fixed(index):
+    # a FIXED pick counted every grouping of the run, and unranked its
+    # grouping with counts as wide as the run
+    config = PipelineConfig(policy=SelectionPolicy.fixed(index))
+    growth = _growth(lambda text: normalize_speech(text, config),
+                     _digit_run(100_000), _digit_run(200_000))
     assert growth < GROWTH_BOUND
 
 

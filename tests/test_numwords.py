@@ -123,6 +123,12 @@ def test_decimal_rejects_superscript_digits():
         decimal_words("1", "²")
 
 
+def test_decimal_rejects_digits_of_other_scripts():
+    # Devanagari "05": decimal digits that int() reads, but not ones read here
+    with pytest.raises(ValueError, match="digit strings"):
+        decimal_words("1", "०५")
+
+
 def test_grouped_leading_zero():
     assert grouped_digit_words("04", [2]) == "صفر چهار"
 
@@ -159,6 +165,12 @@ def test_grouped_rejects_non_digits_and_large_groups():
 def test_grouped_rejects_superscript_digits():
     with pytest.raises(ValueError, match="digit string"):
         grouped_digit_words("1²", [2])
+
+
+def test_grouped_rejects_digits_of_other_scripts():
+    # a Devanagari zero is no zero of numwords.ZEROS: "०५" read "پنج"
+    with pytest.raises(ValueError, match="digit string"):
+        grouped_digit_words("०५", [2])
 
 
 def test_words_to_number_base_cases():

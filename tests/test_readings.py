@@ -20,6 +20,7 @@ from persian_norm import (
     validate_national_id,
     validate_sheba,
 )
+from persian_norm import verbalize
 from persian_norm.pipeline import _assemble, span_variants
 from persian_norm.verbalize import (
     READINGS,
@@ -93,6 +94,54 @@ def test_count_needs_no_recursion():
     # far past the recursion limit; c(n) grows as about 1.3247**n
     assert composition_count(5000) > 10**600
     assert sum(composition_at(5000, composition_count(5000) - 1)) == 5000
+
+
+def _top_down_composition_at(n, index):
+    """The earlier unranker, kept as a reference: counts every composition
+    of n, then steps that window of counts down one group at a time."""
+    a, b, c = 0, 0, 1  # (c(m-2), c(m-1), c(m)), iterated up to m = n
+    for _ in range(n):
+        a, b, c = b, c, a + b
+    if not 0 <= index < c:
+        raise IndexError(f"composition {index} of {n} out of range ({c})")
+    sizes = []
+    while n:
+        threes = c - a
+        c4 = b - threes
+        if index < threes:
+            sizes.append(3)
+            n -= 3
+            a, b, c = a - c4, c4, threes
+        else:
+            index -= threes
+            sizes.append(2)
+            n -= 2
+            a, b, c = c4, threes, a
+    return tuple(sizes)
+
+
+def test_composition_at_matches_the_top_down_unranker():
+    rng = random.Random(17)
+    for n in [*range(0, 160), *range(160, 3001, 89), 2999, 3000]:
+        count = composition_count(n)
+        indexes = {i for i in range(6) if i < count}
+        indexes |= {rng.randrange(count) for _ in range(4)} if count else set()
+        indexes |= {count - 1} if count else set()
+        for index in indexes:
+            assert composition_at(n, index) == _top_down_composition_at(n, index)
+        for index in (count, count + 5, -1):
+            with pytest.raises(IndexError):
+                composition_at(n, index)
+
+
+def test_zero_heavy_cards_match_the_top_down_unranker(monkeypatch):
+    # the lead's dedup shifts each index past the ranks that read like it
+    rng = random.Random(19)
+    cards = ["".join(rng.choice("0001") for _ in range(16)) for _ in range(100)]
+    families = [_id_readings(card, SemioticClass.CARD_NUMBER) for card in cards]
+    read = [_all(family) for family in families]
+    monkeypatch.setattr(verbalize, "composition_at", _top_down_composition_at)
+    assert [_all(family) for family in families] == read
 
 
 def test_render_matches_eager_list_for_every_length():

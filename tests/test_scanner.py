@@ -21,6 +21,7 @@ from persian_norm import (
     validate_national_id,
     validate_sheba,
 )
+from persian_norm.numwords import DIGITS
 from persian_norm.scanner import (
     CURRENCIES,
     MATH_SYMBOLS,
@@ -31,7 +32,6 @@ from persian_norm.scanner import (
     _DECIMAL_PAT,
     _DETECTORS,
     _DIGIT_RUN_PAT,
-    _DIGITS,
     _EMAIL_PAT,
     _FRACTION_PAT,
     _NUMBER_PAT,
@@ -203,6 +203,14 @@ def test_classify_phone_superscript_digit():
     assert classify_phone("0912345678²") is None
 
 
+# decimal digits that int() reads, of a script none of the checks knows
+_DEVANAGARI = str.maketrans("0123456789", "०१२३४५६७८९")
+
+
+def test_classify_phone_digits_of_other_scripts():
+    assert classify_phone("09121234567".translate(_DEVANAGARI)) is None
+
+
 def test_national_id_valid():
     assert validate_national_id("0523924984") is True
 
@@ -225,6 +233,11 @@ def test_national_id_superscript_digit_is_a_length_error():
         validate_national_id("052392498²")
 
 
+def test_national_id_digits_of_other_scripts_are_a_length_error():
+    with pytest.raises(ValueError, match="exactly 10 digits"):
+        validate_national_id("0523924984".translate(_DEVANAGARI))
+
+
 def test_card_valid():
     assert validate_card("6104337852441441") is True
 
@@ -245,6 +258,11 @@ def test_card_length_error():
 def test_card_superscript_digit_is_a_length_error():
     with pytest.raises(ValueError, match="exactly 16 digits"):
         validate_card("610433785244144²")
+
+
+def test_card_digits_of_other_scripts_are_a_length_error():
+    with pytest.raises(ValueError, match="exactly 16 digits"):
+        validate_card("6104337852441441".translate(_DEVANAGARI))
 
 
 def _make_iban(body22: str) -> str:
@@ -274,6 +292,12 @@ def test_sheba_non_digit_body():
 
 def test_sheba_superscript_body_is_malformed():
     assert validate_sheba("IR" + "²" * 24) is False
+
+
+def test_sheba_digits_of_other_scripts_are_malformed():
+    iban = _make_iban("0170000000000123456789")
+    assert validate_sheba(iban) is True
+    assert validate_sheba(iban.translate(_DEVANAGARI)) is False
 
 
 def test_sheba_bad_check_digits():
@@ -541,7 +565,7 @@ def test_every_match_holds_its_row_characters():
 
 def test_digit_set_is_the_digit_class():
     bmp = (chr(c) for c in range(0x10000))
-    assert [c for c in bmp if re.fullmatch(D, c)] == sorted(_DIGITS)
+    assert [c for c in bmp if re.fullmatch(D, c)] == sorted(DIGITS)
 
 
 def test_table_surface_without_row_characters_raises():
@@ -555,7 +579,7 @@ def test_currency_and_math_symbol_surfaces_resolve_in_row_order():
     # a bare currency sign overlaps no candidate of its class but the amount
     # it is in, and no math-symbol surface overlaps a fraction
     assert all(len(surface) == 1 for surface in CURRENCIES)
-    assert [s for s in MATH_SYMBOLS if not set(s).isdisjoint(_DIGITS + "/")] \
+    assert [s for s in MATH_SYMBOLS if not set(s).isdisjoint(DIGITS + "/")] \
         == []
 
 
@@ -588,7 +612,7 @@ def test_digit_row_span_at_offset_zero(pattern, body, cls):
 @pytest.mark.parametrize("pattern, body, cls", _DIGIT_ROWS)
 def test_digit_row_never_starts_after_a_digit(pattern, body, cls, digit):
     text = f"عدد {digit}{body} بود"
-    assert all(text[m.start() - 1] not in _DIGITS
+    assert all(text[m.start() - 1] not in DIGITS
                for m in pattern.finditer(text))
     assert not any(s.start == 5 and s.cls is cls for s in scan(text))
 

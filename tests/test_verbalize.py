@@ -249,10 +249,6 @@ def test_url_short_path_kept():
     assert verbalize_url_email("http://a.ir/x") == "http do noghte slash slash a dot ir slash x"
 
 
-def test_url_persian_style():
-    assert verbalize_url_email("b.com", style="persian") == "b نقطه com"
-
-
 def test_policy_fixed_index():
     d = CalendarDate(Calendar.SOLAR_HIJRI, 1400, 7, 25)
     v = date_variants(d)

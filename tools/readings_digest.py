@@ -1,15 +1,21 @@
-"""Print one SHA-256 per benchmark workload over everything the program
-reads from it, so that two source trees can be compared output for output.
+"""Print one SHA-256 per benchmark workload, and one over long digit runs,
+over everything the program reads from them, so that two source trees can
+be compared output for output.
 
 Usage: python tools/readings_digest.py SRC_DIR
 
 ``SRC_DIR`` is the ``src/`` directory of the tree under test; the tool
 exits 2 unless ``persian_norm`` is imported from under it.  The workloads
 come from ``perfbench/workloads.py`` beside this tool, at seeds 1-3.  Their
-texts are the docs and each item that is not a line of a doc, as generated
-and with their ASCII digits rewritten in Persian and in Arabic-Indic digits
-(a text met again is skipped).  For each text and each of two configs, the
-default one and one with the ``fold_digits`` pass off, the hash takes:
+texts are the docs and each item that is not a line of a doc.  The last
+line, ``digit_runs``, reads instead a digit run of each length in
+``RUN_LENGTHS`` per seed, one of random digits and one with zero runs:
+the longer runs have groupings counted in hundreds to thousands of
+decimal digits (about 2 450 at 20 000 digits, under the 4 300 that Python
+prints of an int).  Every text is read as generated and with its ASCII
+digits rewritten in Persian and in Arabic-Indic digits (a text met again
+is skipped).  For each text and each of two configs, the default one and
+one with the ``fold_digits`` pass off, the hash takes:
 
 * for each span of ``scan(normalize_general(text))``, its class, its text,
   its number of readings and its first 50 readings;
@@ -25,12 +31,13 @@ Two trees give the same output when every line printed is the same:
     python tools/readings_digest.py src > head.txt
     cmp -s base.txt head.txt && echo same || echo differs
 
-The seeds run in two worker processes.
+The jobs, one per line and seed, run in two worker processes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -44,6 +51,8 @@ SCRIPTS = (
 )
 READINGS_SHOWN = 50
 WORKERS = 2
+DIGIT_RUNS = "digit_runs"
+RUN_LENGTHS = (*range(1, 41), 159, 160, 1_000, 5_000, 20_000)
 
 
 def _import(src: Path):
@@ -66,9 +75,14 @@ def seed_digest(src: Path, name: str, seed: int) -> str:
     def add(*values):
         digest.update(repr(values).encode("utf-8"))
 
-    wl = workloads.build(name, seed)
-    lines = {line for doc in wl.docs for line in doc.splitlines()}
-    texts = wl.docs + [item for item in wl.items if item not in lines]
+    if name == DIGIT_RUNS:
+        rng = random.Random(seed)
+        texts = [f"شماره {''.join(rng.choice(digits) for _ in range(n))}"
+                 for n in RUN_LENGTHS for digits in ("0123456789", "0001")]
+    else:
+        wl = workloads.build(name, seed)
+        lines = {line for doc in wl.docs for line in doc.splitlines()}
+        texts = wl.docs + [item for item in wl.items if item not in lines]
     seen = set()
     for script in SCRIPTS:
         for text in texts:
@@ -104,11 +118,12 @@ def main(argv: list[str]) -> int:
         print(f"error: persian_norm is imported from {pn.__file__}, "
               f"not from under {src}", file=sys.stderr)
         return 2
-    jobs = [(name, seed) for name in workloads.WORKLOADS for seed in SEEDS]
+    names = [*workloads.WORKLOADS, DIGIT_RUNS]
+    jobs = [(name, seed) for name in names for seed in SEEDS]
     with ProcessPoolExecutor(WORKERS) as pool:
         digests = pool.map(seed_digest, *zip(*((src, n, s) for n, s in jobs)))
         by_job = dict(zip(jobs, digests))
-    for name in workloads.WORKLOADS:
+    for name in names:
         seeds = " ".join(by_job[name, seed] for seed in SEEDS)
         print(name, hashlib.sha256(seeds.encode()).hexdigest())
     return 0
