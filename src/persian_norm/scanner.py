@@ -23,13 +23,9 @@ SYMBOLS = table("symbols")
 MATH_SYMBOLS = table("math_symbols")
 ABBREV_FA = table("abbrev_fa")
 
-# the digits scanned; ``ascii_digits`` serves the checks below (ASCII only)
-_TO_ASCII = str.maketrans(DIGITS, "0123456789" * 3)
+# the digits scanned; the checks below read them as written, in any mix of
+# scripts, with ``int`` after a ``lstrip(DIGITS)`` guard (``int`` takes "_")
 D = f"[{DIGITS}]"
-
-
-def ascii_digits(s: str) -> str:
-    return s.translate(_TO_ASCII)
 
 
 class Calendar(Enum):
@@ -128,18 +124,19 @@ def infer_calendar(year: int, default: Calendar = Calendar.SOLAR_HIJRI,
 
 
 _CUE_WORDS = frozenset(table("phone_cues"))
-_AREA_CODES = frozenset(table("area_codes"))
+# each code's value: a code is three digits, "0" first, so a run's first
+# three digits, in any script, hold a code exactly when their value is one
+_AREA_CODES = frozenset(int(code) for code in table("area_codes"))
 
 
 def classify_phone(digits: str, left_context: str = "",
                    right_context: str = "") -> PhoneKind | None:
     """Classify a digit run as a phone number from shape and context."""
-    digits = ascii_digits(digits)
-    if not (digits.isascii() and digits.isdecimal()):
+    if digits.lstrip(DIGITS):
         return None
-    if len(digits) == 11 and digits.startswith("09"):
+    if len(digits) == 11 and int(digits[:2]) == 9:  # "09"
         return PhoneKind.MOBILE
-    if len(digits) == 11 and digits[:3] in _AREA_CODES:
+    if len(digits) == 11 and int(digits[:3]) in _AREA_CODES:
         return PhoneKind.LANDLINE
     if len(digits) == 8:
         context = f"{left_context} {right_context}"
@@ -148,33 +145,32 @@ def classify_phone(digits: str, left_context: str = "",
     return None
 
 
-def _all_same(digits: str) -> bool:
-    return len(set(digits)) == 1
+def _all_same(values: list[int]) -> bool:
+    return len(set(values)) == 1
 
 
 def validate_national_id(digits: str) -> bool:
     """Iranian national-ID mod-11 checksum (all-same strings rejected)."""
-    digits = ascii_digits(digits)
-    if len(digits) != 10 or not (digits.isascii() and digits.isdecimal()):
+    if len(digits) != 10 or digits.lstrip(DIGITS):
         raise ValueError("national ID must be exactly 10 digits")
-    if _all_same(digits):
+    values = list(map(int, digits))
+    if _all_same(values):
         return False
-    total = sum(int(d) * w for d, w in zip(digits[:9], range(10, 1, -1)))
+    total = sum(v * w for v, w in zip(values, range(10, 1, -1)))
     r = total % 11
     check = r if r < 2 else 11 - r
-    return int(digits[9]) == check
+    return values[9] == check
 
 
 def validate_card(digits: str) -> bool:
     """Luhn mod-10 check for 16-digit card numbers (all-same rejected)."""
-    digits = ascii_digits(digits)
-    if len(digits) != 16 or not (digits.isascii() and digits.isdecimal()):
+    if len(digits) != 16 or digits.lstrip(DIGITS):
         raise ValueError("card number must be exactly 16 digits")
-    if _all_same(digits):
+    values = list(map(int, digits))
+    if _all_same(values):
         return False
     total = 0
-    for i, ch in enumerate(reversed(digits)):
-        d = int(ch)
+    for i, d in enumerate(reversed(values)):
         if i % 2 == 1:
             d *= 2
             if d > 9:
@@ -185,13 +181,11 @@ def validate_card(digits: str) -> bool:
 
 def validate_sheba(candidate: str) -> bool:
     """IBAN mod-97 check for "IR" + 24 digits; False on malformed input."""
-    candidate = ascii_digits(candidate.strip())
-    if len(candidate) != 26 or not candidate.startswith("IR"):
+    candidate = candidate.strip()
+    digits = candidate[2:]
+    if candidate[:2] != "IR" or len(digits) != 24 or digits.lstrip(DIGITS):
         return False
-    if not (candidate.isascii() and candidate[2:].isdecimal()):
-        return False
-    rearranged = candidate[4:] + "1827" + candidate[2:4]  # I=18, R=27
-    return int(rearranged) % 97 == 1
+    return int(digits[2:] + "1827" + digits[:2]) % 97 == 1  # I=18, R=27
 
 
 # --- detectors -------------------------------------------------------------

@@ -22,6 +22,7 @@ from persian_norm import (
     validate_sheba,
 )
 from persian_norm.numwords import DIGITS
+from persian_norm.resources import rows
 from persian_norm.scanner import (
     CURRENCIES,
     MATH_SYMBOLS,
@@ -304,6 +305,103 @@ def test_sheba_bad_check_digits():
     iban = _make_iban("0170000000000123456789")
     broken = "IR" + f"{(int(iban[2:4]) + 1) % 100:02d}" + iban[4:]
     assert validate_sheba(broken) is False
+
+
+# Each check reads digits as written: ASCII, Persian, Arabic-Indic or any
+# mix gives the same result.
+_SCRIPTS = (
+    str.maketrans("", ""),
+    str.maketrans("0123456789", "۰۱۲۳۴۵۶۷۸۹"),
+    str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"),
+)
+
+
+def _in_every_script(text: str) -> list[str]:
+    """``text`` with its ASCII digits in each script, in turn by digit, and
+    in a seeded random mix."""
+    copies = [text.translate(script) for script in _SCRIPTS]
+    rng = random.Random(text)
+    return copies + [
+        "".join(chars[i % 3] for i, chars in enumerate(zip(*copies))),
+        "".join(rng.choice(chars) for chars in zip(*copies)),
+    ]
+
+
+@pytest.mark.parametrize("digits, expected", [
+    ("0523924984", True), ("0523924985", False),
+    ("0000000000", False), ("1111111111", False),
+])
+def test_national_id_reads_every_script(digits, expected):
+    for written in _in_every_script(digits):
+        assert validate_national_id(written) is expected, written
+
+
+def test_national_id_all_same_in_mixed_scripts_rejected():
+    # the mod-11 check alone passes "1111111111"
+    assert validate_national_id("۱1۱1۱1۱1۱1") is False
+
+
+@pytest.mark.parametrize("digits, expected", [
+    ("6104337852441441", True), ("6104337852441442", False),
+    ("0000000000000000", False),
+])
+def test_card_reads_every_script(digits, expected):
+    for written in _in_every_script(digits):
+        assert validate_card(written) is expected, written
+
+
+def test_card_valid_in_mixed_scripts():
+    assert validate_card("6104۳۳۷۸٥٢٤٤1441") is True
+
+
+@pytest.mark.parametrize("sheba, expected", [
+    ("IR820540102680020817909002", True),
+    ("IR820540102680020817909003", False),
+])
+def test_sheba_reads_every_script(sheba, expected):
+    for written in _in_every_script(sheba):
+        assert validate_sheba(written) is expected, written
+
+
+@pytest.mark.parametrize("digits, left, expected", [
+    ("09397796915", "", PhoneKind.MOBILE),
+    ("02123456789", "", PhoneKind.LANDLINE),
+    ("08712345678", "", PhoneKind.LANDLINE),
+    ("22334455", "تلفن", PhoneKind.LANDLINE),
+    ("22334455", "", None),
+    ("00912345678", "", None),  # "009" is no mobile prefix and no code
+    ("90123456789", "", None),
+    ("02223456789", "", None),  # "022" is no area code
+    ("12123456789", "", None),
+])
+def test_classify_phone_reads_every_script(digits, left, expected):
+    for written in _in_every_script(digits):
+        assert classify_phone(written, left, "") is expected, written
+
+
+def test_classify_phone_mixed_scripts():
+    assert classify_phone("0۲1" + "23456789") is PhoneKind.LANDLINE
+    assert classify_phone("۰9" + "121234567") is PhoneKind.MOBILE
+
+
+def test_checks_refuse_what_int_would_read():
+    # int(" 9") == 9 and int("1_0") == 10: no check takes a space or a "_"
+    assert classify_phone(" 9121234567") is None
+    with pytest.raises(ValueError, match="exactly 10 digits"):
+        validate_national_id(" 523924984")
+    with pytest.raises(ValueError, match="exactly 16 digits"):
+        validate_card("6104337852441_41")
+    # the check digits are right for the body int() reads without the "_"
+    assert validate_sheba(_make_iban("0170000000_00123456789")) is False
+
+
+def test_area_codes_are_three_ascii_digits_from_zero():
+    # classify_phone looks a run's first three digits up by value, which
+    # holds only for codes of this shape
+    codes = [ln.partition("\t")[0] for ln in rows("area_codes.tsv")]
+    assert codes
+    for code in codes:
+        assert re.fullmatch("0[0-9]{2}", code), code
 
 
 def test_scan_sheba_span():

@@ -17,6 +17,7 @@ digits rewritten in Persian and in Arabic-Indic digits (a text met again
 is skipped).  For each text and each of two configs, the default one and
 one with the ``fold_digits`` pass off, the hash takes:
 
+* ``normalize_general(text)``;
 * for each span of ``scan(normalize_general(text))``, its class, its text,
   its number of readings and its first 50 readings;
 * ``normalize_speech`` under ``fixed(0..3)`` and ``seeded(1..3)``, but
@@ -24,6 +25,10 @@ one with the ``fold_digits`` pass off, the hash takes:
   nothing to pick, and with the fold on, on a digit-script copy, which the
   fold gives the digits of the text as generated;
 * and, once per text, ``split_sentences``.
+
+So it covers everything that ``perfbench/run.py`` hashes into
+``output_sha256`` at seeds 1-3: general, speech under the workload's policy
+and split, on every doc.
 
 Two trees give the same output when every line printed is the same:
 
@@ -91,7 +96,9 @@ def seed_digest(src: Path, name: str, seed: int) -> str:
                 continue
             seen.add(text)
             for fold in folds:
-                spans = pn.scan(pn.normalize_general(text, fold))
+                general = pn.normalize_general(text, fold)
+                add(general)
+                spans = pn.scan(general)
                 for span in spans:
                     family = pn.verbalize.span_variants(span)
                     count = pn.verbalize.option_count(family)
