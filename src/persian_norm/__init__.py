@@ -7,13 +7,6 @@ Persian speaker would pronounce.  Includes a dot-protected, verb-aware
 sentence segmenter and a command-line interface.
 """
 
-from .charset import (
-    decode_markup_entities,
-    fold_characters,
-    fold_digits,
-    fold_punctuation,
-    strip_emojis,
-)
 from .numwords import (
     cardinal_words,
     decimal_words,
@@ -28,13 +21,10 @@ from .pipeline import (
     normalize_speech,
 )
 from .scanner import (
-    Calendar,
-    CalendarDate,
     PhoneKind,
     SemioticClass,
     SemioticSpan,
     classify_phone,
-    infer_calendar,
     scan,
     validate_card,
     validate_national_id,
@@ -44,8 +34,6 @@ from .segmenter import (
     DEFAULT_LEXICON,
     VerbLexicon,
     detect_verb_positions,
-    evaluate_segmentation,
-    protect_non_terminal_dots,
     split_sentences,
 )
 from .verbalize import (
@@ -57,8 +45,6 @@ from .verbalize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Calendar",
-    "CalendarDate",
     "DEFAULT_LEXICON",
     "PhoneKind",
     "PipelineConfig",
@@ -69,23 +55,15 @@ __all__ = [
     "cardinal_words",
     "classify_phone",
     "decimal_words",
-    "decode_markup_entities",
     "detect_verb_positions",
     "enumerate_verbalizations",
-    "evaluate_segmentation",
     "expand_abbreviation",
-    "fold_characters",
-    "fold_digits",
-    "fold_punctuation",
     "grouped_digit_words",
-    "infer_calendar",
     "normalize_general",
     "normalize_speech",
     "ordinal_words",
-    "protect_non_terminal_dots",
     "scan",
     "split_sentences",
-    "strip_emojis",
     "validate_card",
     "validate_national_id",
     "validate_sheba",

@@ -1,11 +1,12 @@
 """Character-level canonicalization passes.
 
-Each pass is a total function over text: letter variant folding, digit
-variant folding, punctuation normalization, markup-entity decoding and emoji
-removal.  Each is idempotent but markup-entity decoding, which undoes one
-level of escaping per run: ``&amp;lt;`` decodes to ``&lt;``, and that to
-``<``.  The inventories live in the tab-separated files under
-``persian_norm/data``.
+Five passes, named by ``pipeline.PASS_NAMES`` and run by
+``pipeline.normalize_general``: letter variant folding, digit variant
+folding, punctuation normalization, markup-entity decoding
+(``html.unescape``) and emoji removal.  Each is a total function over text,
+idempotent but markup-entity decoding, which undoes one level of escaping
+per run: ``&amp;lt;`` decodes to ``&lt;``, and that to ``<``.  The
+inventories live in the tab-separated files under ``persian_norm/data``.
 
 The three fold passes each map characters through one table.
 ``composed_fold`` gives, for any set of them, one function that folds as
@@ -17,7 +18,6 @@ through one table composed from theirs.
 from __future__ import annotations
 
 import functools
-import html
 import re
 from collections.abc import Callable, Sequence
 
@@ -85,26 +85,6 @@ def composed_fold(passes: frozenset[str]) -> Callable[[str], str]:
         return text if out == text else out
 
     return fold
-
-
-def fold_characters(text: str) -> str:
-    """Fold Arabic letter variants, decorated Latin letters and ligatures."""
-    return composed_fold(frozenset({"fold_characters"}))(text)
-
-
-def fold_digits(text: str) -> str:
-    """Replace every supported digit variant with Persian digits."""
-    return composed_fold(frozenset({"fold_digits"}))(text)
-
-
-def fold_punctuation(text: str) -> str:
-    """Canonicalize punctuation variants and expand vulgar fractions."""
-    return composed_fold(frozenset({"fold_punctuation"}))(text)
-
-
-def decode_markup_entities(text: str) -> str:
-    """Decode HTML character entities; unknown "&" sequences pass through."""
-    return html.unescape(text)
 
 
 # one "LO-HI" range of hexadecimal code points per line

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import html
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ from .verbalize import SelectionPolicy, option_count, span_variants
 
 # the passes after the fold passes, which run first as one composed fold
 GENERAL_PASSES = (
-    ("decode_markup_entities", charset.decode_markup_entities),
+    ("decode_markup_entities", html.unescape),
     ("strip_emojis", charset.strip_emojis),
 )
 PASS_NAMES = (*charset.FOLD_TABLES, *(name for name, _ in GENERAL_PASSES))

@@ -9,7 +9,6 @@ lexicon (a pluggable stand-in for a full POS tagger).
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .numwords import ZWNJ
@@ -117,17 +116,16 @@ _TERMINAL_RUN = re.compile(f"[{re.escape(TERMINAL_MARKS)}]+")
 
 def _split_on_terminals(text: str, protected) -> list[str]:
     """Split after each run of terminal marks ("...", "?!", "؟؟") that holds
-    a mark outside every protected interval (sorted and disjoint)."""
-    starts = [s for s, _ in protected]
+    a mark outside every protected interval."""
+    covered = bytearray(len(text))
+    for start, end in protected:
+        covered[start:end] = b"\1" * (end - start)
     segments = []
     start = 0
     for run in _TERMINAL_RUN.finditer(text):
-        for pos in range(run.start(), run.end()):
-            k = bisect_right(starts, pos) - 1
-            if k < 0 or pos >= protected[k][1]:
-                segments.append(text[start:run.end()])
-                start = run.end()
-                break
+        if covered.find(0, run.start(), run.end()) != -1:
+            segments.append(text[start:run.end()])
+            start = run.end()
     if start < len(text):
         segments.append(text[start:])
     return segments
@@ -144,7 +142,7 @@ def _verb_split(segment: str, lexicon: VerbLexicon) -> list[str]:
         pieces.append(" ".join(tokens[prev:pos + 1]))
         prev = pos + 1
     pieces.append(" ".join(tokens[prev:]))
-    return [p for p in pieces if p]
+    return pieces
 
 
 def split_sentences(text: str, lexicon: VerbLexicon | None = None,

@@ -14,26 +14,25 @@ from persian_norm import (
     PipelineConfig,
     SelectionPolicy,
     cardinal_words,
-    decode_markup_entities,
     enumerate_verbalizations,
     expand_abbreviation,
-    fold_characters,
-    fold_digits,
-    fold_punctuation,
+    normalize_general,
     normalize_speech,
     split_sentences,
-    strip_emojis,
     validate_card,
     validate_national_id,
     verbalize_url_email,
     words_to_number,
 )
 from persian_norm.numwords import MAX_VALUE, group_words_to_digits, grouped_digit_words
+from persian_norm.pipeline import PASS_NAMES
 from persian_norm.resources import fixture_path, table
 from persian_norm.verbalize import READINGS, compositions, phone_readings
 from persian_norm.scanner import SemioticClass, SemioticSpan
 
 N_PROPERTY = 10_000
+
+ONE = {name: PipelineConfig(enabled_passes={name}) for name in PASS_NAMES}
 
 
 def _collapse(s: str) -> str:
@@ -174,14 +173,12 @@ _SPOKEN_SYMBOLS = (
 def test_criterion_5_property_suites():
     rng = random.Random(7)
     config = PipelineConfig(policy=SelectionPolicy.fixed(0))
-    passes = (fold_characters, fold_digits, fold_punctuation,
-              decode_markup_entities, strip_emojis)
 
     for _ in range(N_PROPERTY):
         text = _random_text(rng)
-        for fn in passes:
-            once = fn(text)
-            assert fn(once) == once, (fn.__name__, text)
+        for name, one in ONE.items():
+            once = normalize_general(text, one)
+            assert normalize_general(once, one) == once, (name, text)
         spoken = normalize_speech(text, config)
         assert normalize_speech(spoken, config) == spoken, text
         # purity: nothing left that still needs verbalizing

@@ -1,21 +1,16 @@
+import html
 import itertools
 import random
 import re
 
 import pytest
 
-from persian_norm import (
-    PipelineConfig,
-    decode_markup_entities,
-    fold_characters,
-    fold_digits,
-    fold_punctuation,
-    normalize_general,
-    strip_emojis,
-)
+from persian_norm import PipelineConfig, normalize_general
 from persian_norm.charset import _EMOJI_PAT, _EMOJI_RANGES, check_fold_order
 from persian_norm.pipeline import PASS_NAMES
 from persian_norm.resources import alternation, table
+
+ONE = {name: PipelineConfig(enabled_passes={name}) for name in PASS_NAMES}
 
 
 def is_emoji_char(ch):
@@ -23,117 +18,118 @@ def is_emoji_char(ch):
 
 
 def test_arabic_yeh_folds_to_persian():
-    assert fold_characters("علي") == "علی"
+    assert normalize_general("علي", ONE["fold_characters"]) == "علی"
 
 
 def test_ascii_identity():
-    assert fold_characters("abc") == "abc"
+    assert normalize_general("abc", ONE["fold_characters"]) == "abc"
 
 
 def test_enclosed_latin_capital():
-    assert fold_characters("Ⓘ") == "I"
+    assert normalize_general("Ⓘ", ONE["fold_characters"]) == "I"
 
 
 def test_arabic_kaf():
-    assert fold_characters("كتاب") == "کتاب"
+    assert normalize_general("كتاب", ONE["fold_characters"]) == "کتاب"
 
 
 def test_honorific_ligature_expands():
-    assert fold_characters("ﷺ") == "صلی الله علیه و سلم"
+    assert normalize_general("ﷺ", ONE["fold_characters"]) == "صلی الله علیه و سلم"
 
 
 def test_fold_digits_ascii():
-    assert fold_digits("6") == "۶"
+    assert normalize_general("6", ONE["fold_digits"]) == "۶"
 
 
 def test_fold_digits_enclosed_variants():
-    assert fold_digits("⑥❻") == "۶۶"
+    assert normalize_general("⑥❻", ONE["fold_digits"]) == "۶۶"
 
 
 def test_fold_digits_identity_on_persian():
-    assert fold_digits("۶") == "۶"
+    assert normalize_general("۶", ONE["fold_digits"]) == "۶"
 
 
 def test_fold_digits_multichar_enclosed():
-    assert fold_digits("⑩") == "۱۰"
-    assert fold_digits("⑮") == "۱۵"
+    assert normalize_general("⑩", ONE["fold_digits"]) == "۱۰"
+    assert normalize_general("⑮", ONE["fold_digits"]) == "۱۵"
 
 
 def test_fold_punctuation_half():
-    assert fold_punctuation("½") == "۱/۲"
+    assert normalize_general("½", ONE["fold_punctuation"]) == "۱/۲"
 
 
 def test_fold_punctuation_percent_variants():
-    assert fold_punctuation("٪") == "%"
-    assert fold_punctuation("％") == "%"
+    assert normalize_general("٪", ONE["fold_punctuation"]) == "%"
+    assert normalize_general("％", ONE["fold_punctuation"]) == "%"
 
 
 def test_fold_punctuation_identity():
-    assert fold_punctuation(".") == "."
+    assert normalize_general(".", ONE["fold_punctuation"]) == "."
 
 
 def test_decode_entity_without_semicolon():
-    assert decode_markup_entities("&lt") == "<"
+    assert normalize_general("&lt", ONE["decode_markup_entities"]) == "<"
 
 
 def test_decode_named_entity():
-    assert decode_markup_entities("a &amp; b") == "a & b"
+    assert normalize_general("a &amp; b", ONE["decode_markup_entities"]) == "a & b"
 
 
 def test_unknown_ampersand_untouched():
-    assert decode_markup_entities("R&D") == "R&D"
+    assert normalize_general("R&D", ONE["decode_markup_entities"]) == "R&D"
 
 
 def test_strip_emoji_with_space():
-    assert strip_emojis("سلام 😀") == "سلام"
+    assert normalize_general("سلام 😀", ONE["strip_emojis"]) == "سلام"
 
 
 def test_strip_emoji_identity():
-    assert strip_emojis("no emoji") == "no emoji"
+    assert normalize_general("no emoji", ONE["strip_emojis"]) == "no emoji"
 
 
 def test_strip_emoji_modifier_sequence():
-    assert strip_emojis("👍🏽ok") == "ok"
+    assert normalize_general("👍🏽ok", ONE["strip_emojis"]) == "ok"
 
 
 def test_strip_zwj_sequence_as_unit():
-    assert strip_emojis("کار 👨‍👩‍👧 تمام") == "کار تمام"
+    assert normalize_general("کار 👨‍👩‍👧 تمام", ONE["strip_emojis"]) == "کار تمام"
 
 
-@pytest.mark.parametrize("fn", [
-    fold_characters, fold_digits, fold_punctuation,
-    decode_markup_entities, strip_emojis,
-])
+@pytest.mark.parametrize("name", PASS_NAMES)
 @pytest.mark.parametrize("text", [
     "علي ⑥ ٪ &amp; 😀 سلام",
     "متن ساده فارسی",
     "mixed text با ۱۲۳ and ي",
     "",
 ])
-def test_idempotence(fn, text):
-    once = fn(text)
-    assert fn(once) == once
+def test_idempotence(name, text):
+    once = normalize_general(text, ONE[name])
+    assert normalize_general(once, ONE[name]) == once
 
 
 def test_digit_output_has_no_variants():
     noisy = "6٦⑥❻６⁶0۴"
-    out = fold_digits(noisy)
+    out = normalize_general(noisy, ONE["fold_digits"])
     assert all(ch in "۰۱۲۳۴۵۶۷۸۹" for ch in out)
 
 
 def test_strip_output_disjoint_from_emoji_ranges():
-    out = strip_emojis("سلام 😀🌍⚽ خوبی؟ 🚗")
+    out = normalize_general("سلام 😀🌍⚽ خوبی؟ 🚗", ONE["strip_emojis"])
     assert not any(is_emoji_char(ch) for ch in out)
 
 
 def test_fold_order_independence_on_disjoint_domains():
     text = "علي wrote ⑥ نامه با 6 قلم"
-    assert fold_digits(fold_characters(text)) == fold_characters(fold_digits(text))
+    chars_first = normalize_general(normalize_general(text, ONE["fold_characters"]),
+                                    ONE["fold_digits"])
+    digits_first = normalize_general(normalize_general(text, ONE["fold_digits"]),
+                                     ONE["fold_characters"])
+    assert chars_first == digits_first
 
 
 def test_whitespace_positions_preserved():
     text = "اي ب ج 123"
-    out = fold_characters(text)
+    out = normalize_general(text, ONE["fold_characters"])
     assert [i for i, c in enumerate(text) if c == " "] == \
         [i for i, c in enumerate(out) if c == " "]
 
@@ -160,7 +156,7 @@ def _sequential_general(text, enabled):
         if name in enabled:
             text = pattern.sub(lambda m: tbl[m.group(0)], text)
     if "decode_markup_entities" in enabled:
-        text = decode_markup_entities(text)
+        text = html.unescape(text)
     if "strip_emojis" in enabled:
         text = re.sub("  +", " ", _EMOJI_PAT.sub("", text)).strip()
     return text
@@ -201,8 +197,8 @@ def test_fold_order_check_raises_on_a_later_surface_in_a_replacement():
 
 
 def test_emoji_guard_starts_at_the_lowest_emoji():
-    assert strip_emojis("a \u2190 b") == "a b"
-    assert strip_emojis("a \u218f b") == "a \u218f b"
+    assert normalize_general("a \u2190 b", ONE["strip_emojis"]) == "a b"
+    assert normalize_general("a \u218f b", ONE["strip_emojis"]) == "a \u218f b"
 
 
 def test_fold_key_that_is_an_emoji_is_folded():

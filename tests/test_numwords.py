@@ -218,6 +218,12 @@ def test_group_round_trip():
         assert tokens  # sanity
 
 
+def test_group_words_to_digits_rejects_a_group_of_another_size():
+    # "پنج" parses to "5", one digit, not two
+    with pytest.raises(ValueError, match="does not fit size 2"):
+        group_words_to_digits("پنج", 2)
+
+
 def test_output_alphabet():
     rng = random.Random(7)
     for _ in range(300):

@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 import persian_norm
-from persian_norm import resources
-from persian_norm.charset import fold_characters
+from persian_norm import PipelineConfig, normalize_general, resources
 from persian_norm.resources import alternation, rows, table
 
 DATA = Path(persian_norm.__file__).parent / "data"
@@ -77,7 +76,8 @@ def test_line_without_tab_maps_to_empty_string():
 def test_longest_surface_wins():
     assert alternation(["a", "ab"]).pattern == "ab|a"
     # the ligature wins over char_map's fold of its last letter, "ے" -> "ی"
-    assert fold_characters("صلـے") == "صلی"
+    one = PipelineConfig(enabled_passes={"fold_characters"})
+    assert normalize_general("صلـے", one) == "صلی"
 
 
 def _tables_in(tmp_path, monkeypatch, **files):

@@ -9,12 +9,9 @@ import pytest
 
 import persian_norm
 from persian_norm import (
-    Calendar,
-    CalendarDate,
     PhoneKind,
     SemioticClass,
     classify_phone,
-    infer_calendar,
     normalize_general,
     scan,
     validate_card,
@@ -24,6 +21,8 @@ from persian_norm import (
 from persian_norm.numwords import DIGITS
 from persian_norm.resources import rows
 from persian_norm.scanner import (
+    Calendar,
+    CalendarDate,
     CURRENCIES,
     MATH_SYMBOLS,
     D,
@@ -42,6 +41,7 @@ from persian_norm.scanner import (
     _dotless,
     _resolve,
     _table_needs,
+    infer_calendar,
 )
 from persian_norm.segmenter import protect_non_terminal_dots
 from test_acceptance import criterion_7_corpus

@@ -7,7 +7,6 @@ from persian_norm import (
     SemioticClass,
     VerbLexicon,
     detect_verb_positions,
-    evaluate_segmentation,
     normalize_general,
     scan,
     split_sentences,
@@ -15,7 +14,7 @@ from persian_norm import (
 from persian_norm import segmenter
 from persian_norm.cli import evaluate_gold_fixture, read_gold_fixture
 from persian_norm.resources import fixture_path
-from persian_norm.segmenter import protect_non_terminal_dots
+from persian_norm.segmenter import evaluate_segmentation, protect_non_terminal_dots
 
 
 def test_basic_terminal_split():

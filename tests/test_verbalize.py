@@ -3,8 +3,6 @@ import random
 import pytest
 
 from persian_norm import (
-    Calendar,
-    CalendarDate,
     PhoneKind,
     SemioticClass,
     SemioticSpan,
@@ -15,6 +13,7 @@ from persian_norm import (
     verbalize_url_email,
 )
 from persian_norm.numwords import grouped_digit_words
+from persian_norm.scanner import Calendar, CalendarDate
 from persian_norm.verbalize import (
     READINGS,
     compositions,
@@ -259,6 +258,11 @@ def test_policy_fixed_index():
 def test_policy_rejects_no_options():
     with pytest.raises(ValueError):
         SelectionPolicy.fixed().choose([])
+
+
+def test_seeded_policy_rejects_no_options():
+    with pytest.raises(ValueError, match="no options to choose from"):
+        SelectionPolicy.seeded(1).choose([])
 
 
 def test_policy_seeded_equal_seeds_equal_outputs():
