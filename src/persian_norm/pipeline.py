@@ -7,7 +7,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from . import charset
 from .scanner import SemioticSpan, scan
@@ -26,21 +26,31 @@ _MULTI_SPACE = re.compile(r"  +")
 _SPACE_BEFORE_PUNCT = re.compile(r" (?=[.,،؛;:!؟?»)\]])")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    enabled_passes: frozenset = frozenset(PASS_NAMES)
-    policy: SelectionPolicy = field(default_factory=SelectionPolicy.fixed)
+class PipelineConfig(namedtuple("PipelineConfig", "enabled_passes policy")):
+    """The passes ``normalize_general`` runs, as a frozenset of names from
+    ``PASS_NAMES``, and the policy that picks each span's reading."""
 
-    def __post_init__(self):
-        unknown = set(self.enabled_passes) - set(PASS_NAMES)
+    __slots__ = ()
+
+    def __new__(cls, enabled_passes=frozenset(PASS_NAMES),
+                policy: SelectionPolicy = SelectionPolicy.fixed()):
+        if isinstance(enabled_passes, str):
+            raise TypeError("enabled_passes takes a collection of pass names, "
+                            f"not the string {enabled_passes!r}")
+        enabled_passes = frozenset(enabled_passes)
+        unknown = enabled_passes.difference(PASS_NAMES)
         if unknown:
             raise ValueError(f"unknown pass names: {sorted(unknown)}")
-        object.__setattr__(self, "enabled_passes", frozenset(self.enabled_passes))
+        return super().__new__(cls, enabled_passes, policy)
+
+    @classmethod
+    def _make(cls, fields):  # so that ``_replace`` checks the fields too
+        return cls(*fields)
 
     def disable(self, name: str) -> "PipelineConfig":
         if name not in PASS_NAMES:
             raise ValueError(f"unknown pass name: {name}")
-        return replace(self, enabled_passes=self.enabled_passes - {name})
+        return self._replace(enabled_passes=self.enabled_passes - {name})
 
 
 _DEFAULT_CONFIG = PipelineConfig()

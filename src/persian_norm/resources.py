@@ -9,18 +9,21 @@ are safe to share between threads.
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterable
-from importlib import resources as importlib_resources
 
 
 def _data_root():
-    return importlib_resources.files("persian_norm") / "data"
+    # the directory beside this module: importing ``importlib.resources``
+    # loads ``inspect``, ``tempfile`` and ``pathlib`` on Python 3.12 and later
+    return os.path.join(os.path.dirname(__file__), "data")
 
 
 def rows(relpath: str) -> list[str]:
     """The lines of a bundled file, without blank and "#" comment lines."""
-    text = (_data_root() / relpath).read_text(encoding="utf-8")
+    with open(os.path.join(_data_root(), relpath), encoding="utf-8") as fh:
+        text = fh.read()
     return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
 
 
@@ -47,5 +50,5 @@ def alternation(surfaces: Iterable[str]) -> re.Pattern:
     return re.compile("|".join(re.escape(s) for s in ordered))
 
 
-def fixture_path(name: str):
-    return _data_root() / "fixtures" / name
+def fixture_path(name: str) -> str:
+    return os.path.join(_data_root(), "fixtures", name)

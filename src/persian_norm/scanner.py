@@ -8,7 +8,7 @@ text and returns typed, non-overlapping spans for the verbalizers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from string import ascii_letters
 from typing import NamedTuple
@@ -83,23 +83,24 @@ def _month_length(calendar: Calendar, year: int, month: int) -> int:
     return 30  # lunar months have 29 or 30 days
 
 
-@dataclass(frozen=True)
-class CalendarDate:
-    calendar: Calendar
-    year: int
-    month: int
-    day: int
+class CalendarDate(namedtuple("CalendarDate", "calendar year month day")):
+    """A calendar date, checked against its month's length when built."""
 
-    def __post_init__(self):
-        if self.year < 1:
-            raise ValueError(f"invalid year: {self.year}")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"invalid month: {self.month}")
-        if not 1 <= self.day <= _month_length(self.calendar, self.year, self.month):
+    __slots__ = ()
+
+    def __new__(cls, calendar: Calendar, year: int, month: int, day: int):
+        if year < 1:
+            raise ValueError(f"invalid year: {year}")
+        if not 1 <= month <= 12:
+            raise ValueError(f"invalid month: {month}")
+        if not 1 <= day <= _month_length(calendar, year, month):
             raise ValueError(
-                f"invalid day {self.day} for month {self.month} "
-                f"({self.calendar.value})"
-            )
+                f"invalid day {day} for month {month} ({calendar.value})")
+        return super().__new__(cls, calendar, year, month, day)
+
+    @classmethod
+    def _make(cls, fields):  # so that ``_replace`` checks the fields too
+        return cls(*fields)
 
 
 class SemioticSpan(NamedTuple):
@@ -194,12 +195,13 @@ def validate_sheba(candidate: str) -> bool:
 # text) to a candidate ``(cls, start, end, data)``, or to None when a check
 # on the match fails.
 
-# The date, time, decimal and fraction rows open on a digit not preceded by
-# one.  Written as a digit and then a lookbehind, rather than a lookbehind
-# first, the pattern starts with a digit, so ``re`` tries a match only at
-# digits.
+# The date, time, digit-run, decimal, long-number and fraction rows open on
+# a digit not preceded by one.  Written as a digit and then a lookbehind,
+# rather than a lookbehind first, the pattern starts with a digit, so ``re``
+# tries a match only at digits.  The character just matched is that digit,
+# so the lookbehind tests only the one before it (``{D}.``, not ``{D}{D}``).
 _DATE_PAT = re.compile(
-    rf"({D}(?<!{D}{D}){D}{{0,3}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
+    rf"({D}(?<!{D}.){D}{{0,3}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
 )
 
 
@@ -221,7 +223,7 @@ def _date(m, text):
     return SemioticClass.DATE, m.start(), m.end(), {"date": date}
 
 
-_TIME_PAT = re.compile(rf"({D}(?<!{D}{D}){D}?):({D}{{2}})(?::({D}{{2}}))?(?!{D})")
+_TIME_PAT = re.compile(rf"({D}(?<!{D}.){D}?):({D}{{2}})(?::({D}{{2}}))?(?!{D})")
 
 
 def _time(m, text):
@@ -279,7 +281,7 @@ def _sheba(m, text):
 # a whole digit run of a length some check below can claim: 8 or 11 digits
 # (phone), 10 (national ID) or 16 (card)
 _DIGIT_RUN_PAT = re.compile(
-    rf"{D}(?<!{D}{D})(?:{D}{{7}}|{D}{{9,10}}|{D}{{15}})(?!{D})"
+    rf"{D}(?<!{D}.)(?:{D}{{7}}|{D}{{9,10}}|{D}{{15}})(?!{D})"
 )
 
 
@@ -301,7 +303,7 @@ def _digit_run(m, text):
     return cls, m.start(), m.end(), {}
 
 
-_DECIMAL_PAT = re.compile(rf"({D}(?<!{D}{D}){D}{{0,14}})\.({D}+)(?!{D})")
+_DECIMAL_PAT = re.compile(rf"({D}(?<!{D}.){D}{{0,14}})\.({D}+)(?!{D})")
 
 
 def _decimal(m, text):
@@ -310,11 +312,11 @@ def _decimal(m, text):
 
 
 # a whole run of 16 digits or more
-_LONG_NUMBER_PAT = re.compile(rf"{D}(?<!{D}{D}){D}{{15,}}(?!{D})")
+_LONG_NUMBER_PAT = re.compile(rf"{D}(?<!{D}.){D}{{15,}}(?!{D})")
 
 
 # simple x/y fractions (x < y) read as spoken fractions, e.g. ۱/۲
-_FRACTION_PAT = re.compile(rf"({D}(?<!{D}{D}){D}?)/({D}{{1,2}})(?!{D})")
+_FRACTION_PAT = re.compile(rf"({D}(?<!{D}.){D}?)/({D}{{1,2}})(?!{D})")
 
 
 def _fraction(m, text):

@@ -9,7 +9,8 @@ lexicon (a pluggable stand-in for a full POS tagger).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 
 from .numwords import ZWNJ
 from .resources import rows
@@ -20,23 +21,35 @@ TERMINAL_MARKS = ".!?؟"
 DEFAULT_VERB_SPLIT_THRESHOLD = 30
 
 
-@dataclass(frozen=True)
-class VerbLexicon:
-    past_stems: frozenset
-    present_stems: frozenset
-    past_suffixes: tuple
-    present_suffixes: tuple
-    auxiliaries: frozenset
-    full_forms: frozenset
+class VerbLexicon(namedtuple("VerbLexicon", "past_stems present_stems "
+                             "past_suffixes present_suffixes auxiliaries full_forms")):
+    """The stems, suffixes and whole forms ``_verb_test`` knows.  Building one
+    also builds ``past_forms`` and ``present_forms``, each stem + suffix (a
+    present form needs a prefix): attributes, not fields, so they are not
+    compared or printed."""
 
-    def __post_init__(self):
-        if not self.past_stems:
+    def __new__(cls, past_stems: frozenset, present_stems: frozenset,
+                past_suffixes: tuple, present_suffixes: tuple,
+                auxiliaries: frozenset, full_forms: frozenset):
+        if not past_stems:
             raise ValueError("verb lexicon has no past stems")
-        # each stem + suffix, built once; a present form needs a prefix
-        object.__setattr__(self, "past_forms", frozenset(
-            s + x for s in self.past_stems for x in self.past_suffixes))
-        object.__setattr__(self, "present_forms", frozenset(
-            s + x for s in self.present_stems for x in ("", *self.present_suffixes)))
+        self = super().__new__(cls, past_stems, present_stems, past_suffixes,
+                               present_suffixes, auxiliaries, full_forms)
+        vars(self).update(
+            past_forms=frozenset(s + x for s in past_stems for x in past_suffixes),
+            present_forms=frozenset(
+                s + x for s in present_stems for x in ("", *present_suffixes)))
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # so that ``_replace`` builds the forms too
+        return cls(*fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: "
+                             "a VerbLexicon is immutable")
+
+    __delattr__ = __setattr__
 
 
 def _lexicon_from_rows(lines: list[str]) -> VerbLexicon:
@@ -74,21 +87,30 @@ def _strip_prefix(token: str) -> tuple[str, bool]:
 _TOKEN_PUNCT = TERMINAL_MARKS + "،؛:,;()«»\"'"
 
 
-def _is_verb(token: str, lexicon: VerbLexicon) -> bool:
-    token = token.strip(_TOKEN_PUNCT)
-    if not token:
-        return False
-    if token in lexicon.full_forms or token in lexicon.auxiliaries:
-        return True
-    stemmed, has_present_prefix = _strip_prefix(token)
-    return (token in lexicon.past_forms or stemmed in lexicon.past_forms
-            or has_present_prefix and stemmed in lexicon.present_forms)
+def _verb_test(lexicon: VerbLexicon) -> Callable[[str], bool]:
+    """Whether a token is a verb of ``lexicon``.  The lexicon's sets are
+    read once here, not once per token: reading a named tuple's attribute
+    costs about as much as a set lookup."""
+    full_forms, auxiliaries = lexicon.full_forms, lexicon.auxiliaries
+    past_forms, present_forms = lexicon.past_forms, lexicon.present_forms
+
+    def is_verb(token: str) -> bool:
+        token = token.strip(_TOKEN_PUNCT)
+        if not token:
+            return False
+        if token in full_forms or token in auxiliaries:
+            return True
+        stemmed, has_present_prefix = _strip_prefix(token)
+        return (token in past_forms or stemmed in past_forms
+                or has_present_prefix and stemmed in present_forms)
+
+    return is_verb
 
 
 def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None) -> list[int]:
     """Indices of verb-group ends; consecutive verb tokens form one group."""
-    lexicon = lexicon or DEFAULT_LEXICON
-    flags = [_is_verb(t, lexicon) for t in tokens]
+    is_verb = _verb_test(lexicon or DEFAULT_LEXICON)
+    flags = [is_verb(t) for t in tokens]
     positions = []
     for i, flag in enumerate(flags):
         if flag and (i + 1 == len(flags) or not flags[i + 1]):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 import re
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .numwords import (
@@ -29,17 +29,22 @@ from .scanner import (
 )
 
 
-@dataclass(frozen=True)
-class SelectionPolicy:
+class SelectionPolicy(namedtuple("SelectionPolicy", "index seed")):
     """Takes option ``index`` when ``seed`` is None (``fixed``); otherwise
     draws from ``random.Random(seed)`` (``seeded``)."""
 
-    index: int = 0
-    seed: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"option index must be 0 or more, not {self.index}")
+    def __new__(cls, index: int = 0, seed: int | None = None):
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise TypeError(f"option index must be an int, not {index!r}")
+        if index < 0:
+            raise ValueError(f"option index must be 0 or more, not {index}")
+        return super().__new__(cls, index, seed)
+
+    @classmethod
+    def _make(cls, fields):  # so that ``_replace`` checks the fields too
+        return cls(*fields)
 
     @classmethod
     def fixed(cls, index: int = 0) -> "SelectionPolicy":

@@ -46,11 +46,16 @@ print(json.dumps(opened))
 """
 
 
-def _opened_files():
+def _run_fresh(code):
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports this package."""
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return json.loads(out)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _opened_files():
+    return json.loads(_run_fresh(_PROBE))
 
 
 def test_each_data_file_is_read_once_at_import():
@@ -59,6 +64,22 @@ def test_each_data_file_is_read_once_at_import():
     opened = _opened_files()
     assert sorted(path.replace(os.sep, "/") for _, path in opened) == bundled
     assert [path for phase, path in opened if phase != "import"] == []
+
+
+# modules that ``import dataclasses`` loads, as does ``importlib.resources``
+# on Python 3.12 and later; the package needs none of them
+_NOT_IMPORTED = {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_import_loads_no_dataclasses_machinery():
+    added = _run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import persian_norm\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    ).split()
+    assert "persian_norm" in added
+    assert _NOT_IMPORTED.isdisjoint(added), sorted(_NOT_IMPORTED.intersection(added))
 
 
 def test_rows_drop_blank_and_comment_lines():

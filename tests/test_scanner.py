@@ -34,6 +34,7 @@ from persian_norm.scanner import (
     _DIGIT_RUN_PAT,
     _EMAIL_PAT,
     _FRACTION_PAT,
+    _LONG_NUMBER_PAT,
     _NUMBER_PAT,
     _TIME_PAT,
     _TLD,
@@ -641,9 +642,14 @@ _FUZZ_PIECES = (
 )
 
 
-def _fuzz_lines(n, seed=0):
+# digits of the three scripts and the separators of the digit rows, so that
+# digit runs of every length meet separators and other runs
+_DIGIT_FUZZ_PIECES = list(DIGITS) + list("/.-:" * 3) + [" "] * 3 + ["ب"] * 2
+
+
+def _fuzz_lines(n, seed=0, pieces=_FUZZ_PIECES):
     rng = random.Random(seed)
-    return ["".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randrange(1, 30)))
+    return ["".join(rng.choice(pieces) for _ in range(rng.randrange(1, 30)))
             for _ in range(n)]
 
 
@@ -732,6 +738,20 @@ _REFERENCE_PATS = {
         r"\b[A-Za-z]{1,3}(?:\.[A-Za-z]{1,3})+\.?"
         r"|\b[A-Z]{2,6}\b(?!\.[A-Za-z])"
     ),
+    # the digit rows, each with its opening digit tested against the one
+    # before it as a pair of digits
+    _DATE_PAT: re.compile(
+        rf"({D}(?<!{D}{D}){D}{{0,3}})([/.\-])({D}{{1,2}})\2({D}{{1,4}})(?!{D})"
+    ),
+    _TIME_PAT: re.compile(
+        rf"({D}(?<!{D}{D}){D}?):({D}{{2}})(?::({D}{{2}}))?(?!{D})"
+    ),
+    _DIGIT_RUN_PAT: re.compile(
+        rf"{D}(?<!{D}{D})(?:{D}{{7}}|{D}{{9,10}}|{D}{{15}})(?!{D})"
+    ),
+    _DECIMAL_PAT: re.compile(rf"({D}(?<!{D}{D}){D}{{0,14}})\.({D}+)(?!{D})"),
+    _LONG_NUMBER_PAT: re.compile(rf"{D}(?<!{D}{D}){D}{{15,}}(?!{D})"),
+    _FRACTION_PAT: re.compile(rf"({D}(?<!{D}{D}){D}?)/({D}{{1,2}})(?!{D})"),
 }
 
 
@@ -742,6 +762,7 @@ def _spans(pattern, text):
 def test_leading_class_rows_match_their_reference():
     texts = _fuzz_lines(20000) + _MIXED_LINES + criterion_7_corpus()[0]
     texts += [normalize_general(t) for t in texts]
+    texts += _fuzz_lines(20000, pieces=_DIGIT_FUZZ_PIECES)
     for pattern, reference in _REFERENCE_PATS.items():
         for text in texts:
             assert _spans(pattern, text) == _spans(reference, text), \

@@ -232,7 +232,7 @@ def test_lexicon_requires_past_stems():
 
 def _is_verb_by_suffix_loops(token, lexicon):
     """The verb test as stem + suffix loops over each token, the reference
-    for ``segmenter._is_verb``."""
+    for ``segmenter._verb_test``."""
     token = token.strip(segmenter._TOKEN_PUNCT)
     if not token:
         return False
@@ -303,10 +303,11 @@ _CUSTOM_LEXICON = VerbLexicon(
                          ids=["default", "custom"])
 def test_is_verb_matches_the_suffix_loops(lexicon):
     tokens = _verb_like_tokens(lexicon, 20_000, seed=7)
+    is_verb = segmenter._verb_test(lexicon)
     verbs = 0
     for token in tokens:
         expected = _is_verb_by_suffix_loops(token, lexicon)
-        assert segmenter._is_verb(token, lexicon) == expected, token
+        assert is_verb(token) == expected, token
         verbs += expected
     # the tokens hold both verbs and non-verbs in number
     assert 0.2 < verbs / len(tokens) < 0.8
