@@ -22,8 +22,9 @@ PASS_NAMES = (*charset.FOLD_TABLES, *(name for name, _ in GENERAL_PASSES))
 
 ENUMERATION_CAP = 10**4
 
-_MULTI_SPACE = re.compile(r"  +")
-_SPACE_BEFORE_PUNCT = re.compile(r" (?=[.,،؛;:!؟?»)\]])")
+# a space before a space or a closing mark: deleting each one collapses a run
+# of spaces and drops it before the mark, in one pass
+_EXTRA_SPACE = re.compile(r" (?=[ .,،؛;:!؟?»)\]])")
 
 
 class PipelineConfig(namedtuple("PipelineConfig", "enabled_passes policy")):
@@ -75,9 +76,7 @@ def _assemble(text: str, spans: list[SemioticSpan], replacements: list[str]) -> 
         parts.append(f" {rep} ")
         pos = span.end
     parts.append(text[pos:])
-    out = _MULTI_SPACE.sub(" ", "".join(parts))
-    out = _SPACE_BEFORE_PUNCT.sub("", out)
-    return out.strip()
+    return _EXTRA_SPACE.sub("", "".join(parts)).strip()
 
 
 def normalize_speech(text: str, config: PipelineConfig | None = None) -> str:

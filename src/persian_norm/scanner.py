@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from string import ascii_letters
 from typing import NamedTuple
 
 from .numwords import DIGITS
@@ -22,6 +21,10 @@ CURRENCIES = table("currencies")
 SYMBOLS = table("symbols")
 MATH_SYMBOLS = table("math_symbols")
 ABBREV_FA = table("abbrev_fa")
+
+# the Latin letters, written out: importing ``string`` for them costs about
+# 0.7 ms of set-up
+_LATIN_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 # the digits scanned; the checks below read them as written, in any mix of
 # scripts, with ``int`` after a ``lstrip(DIGITS)`` guard (``int`` takes "_")
@@ -412,7 +415,7 @@ _NUMBER_PAT = re.compile(rf"{D}+")
 # overlap an amount, whose row comes first (no math-symbol surface holds a
 # digit or "/", so none overlaps a fraction).
 _CLASSES = {
-    "URL": (True, [(_URL_PAT, _url, _needs(".:", ascii_letters))]),
+    "URL": (True, [(_URL_PAT, _url, _needs(".:", _LATIN_LETTERS))]),
     "EMAIL": (True, [(_EMAIL_PAT, None, _needs("@"))]),
     "SHEBA": (False, [(_SHEBA_PAT, _sheba, _needs("I", DIGITS))]),
     "DATE": (True, [(_DATE_PAT, _date, _needs("/.-", DIGITS))]),
@@ -425,7 +428,7 @@ _CLASSES = {
     "CURRENCY": (True, [
         (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, DIGITS)),
         (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS))]),
-    "ABBREV_EN": (True, [(_ABBREV_EN_PAT, None, _needs(ascii_letters))]),
+    "ABBREV_EN": (True, [(_ABBREV_EN_PAT, None, _needs(_LATIN_LETTERS))]),
     "ABBREV_FA": (True, [
         (_ABBREV_FA_PAT, None, _needs(_table_needs(ABBREV_FA, ".(")))]),
     "MATH_SYMBOL": (False, [
@@ -445,35 +448,50 @@ def _whole_match(cls):
     return lambda m, text: (cls, m.start(), m.end(), {})
 
 
-def _rows() -> tuple[list, list]:
-    """Every row of ``_CLASSES`` in class order, and the rows of the
-    classes up to the last one whose spans can hold a dot."""
-    every, split = [], []
+def _rows() -> tuple[tuple, list, list]:
+    """The distinct sets of ``needs`` in ``_CLASSES``; every row of
+    ``_CLASSES`` in class order, its ``needs`` as a mask with bit ``i`` set
+    for each set ``i``; and the rows of the classes up to the last one whose
+    spans can hold a dot."""
+    need_sets, every, split = {}, [], []
     for cls, (dotted, rows) in zip(SemioticClass, _CLASSES.values()):
-        every += [(pattern, candidate or _whole_match(cls), needs)
-                  for pattern, candidate, needs in rows]
+        for pattern, candidate, needs in rows:
+            mask = 0
+            for chars in needs:
+                mask |= 1 << need_sets.setdefault(chars, len(need_sets))
+            every.append((pattern, candidate or _whole_match(cls), mask))
         if dotted:
             split = every.copy()
-    return every, split
+    return tuple(need_sets), every, split
 
 
-_DETECTORS, _SPLIT_ROWS = _rows()
+_NEED_SETS, _DETECTORS, _SPLIT_ROWS = _rows()
+
+
+def _need_bits() -> dict[str, int]:
+    """Each character of a need set -> the mask of the sets that hold it."""
+    bits: dict[str, int] = {}
+    for i, chars in enumerate(_NEED_SETS):
+        for c in chars:
+            bits[c] = bits.get(c, 0) | 1 << i
+    return bits
+
+
+_NEED_BITS = _need_bits()
 
 # one character class over every row's characters: a single pass finds
 # which of them a text holds
-_TRIGGER = re.compile("[" + re.escape("".join(sorted(
-    frozenset().union(*(chars for _, _, needs in _DETECTORS for chars in needs))
-))) + "]")
+_TRIGGER = re.compile("[" + re.escape("".join(sorted(_NEED_BITS))) + "]")
 
 
 def _candidates(text: str, present: set, rows):
     """The candidates of the ``rows`` whose ``needs`` the ``present``
     characters meet, in resolution order: row by row, each in text order."""
+    met = 0  # the need sets that ``present`` meets
+    for c in present:
+        met |= _NEED_BITS[c]
     for pattern, candidate, needs in rows:
-        for chars in needs:  # run the row only if the text meets every set
-            if present.isdisjoint(chars):
-                break
-        else:
+        if needs & met == needs:  # the text meets every set of the row
             for m in pattern.finditer(text):
                 c = candidate(m, text)
                 if c is not None:

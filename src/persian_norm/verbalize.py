@@ -135,16 +135,27 @@ def composition_at(n: int, index: int) -> tuple[int, ...]:
 _DATE_TEMPLATES = tuple(rows("templates/date.txt"))
 
 
-def date_variants(d: CalendarDate) -> list[str]:
-    months = MONTH_NAMES[d.calendar]
-    fields = {
-        "day_ordinal": ordinal_words(d.day, first_form="اول"),
-        "day_cardinal": cardinal_words(d.day),
-        "month_name": months[d.month - 1],
-        "month_number": cardinal_words(d.month),
-        "year_cardinal": cardinal_words(d.year),
-    }
-    return [tpl.format(**fields) for tpl in _DATE_TEMPLATES]
+# named as a function: it is called as a date family's builder, like
+# ``phone_readings``
+class date_variants:
+    """The readings of a date, one per template of ``templates/date.txt``,
+    as a read-only sequence: indexing formats only the template it reads."""
+
+    def __init__(self, d: CalendarDate):
+        self._fields = {
+            "day_ordinal": ordinal_words(d.day, first_form="اول"),
+            "day_cardinal": cardinal_words(d.day),
+            "month_name": MONTH_NAMES[d.calendar][d.month - 1],
+            "month_number": cardinal_words(d.month),
+            "year_cardinal": cardinal_words(d.year),
+        }
+
+    def __len__(self) -> int:
+        return len(_DATE_TEMPLATES)
+
+    def __getitem__(self, index: int) -> str:
+        """Reading ``index``; raises ``IndexError`` past either end."""
+        return _DATE_TEMPLATES[index].format_map(self._fields)
 
 
 # --- times -----------------------------------------------------------------

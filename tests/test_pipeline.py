@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from persian_norm import (
@@ -7,7 +10,7 @@ from persian_norm import (
     normalize_general,
     normalize_speech,
 )
-from persian_norm.pipeline import ENUMERATION_CAP, PASS_NAMES
+from persian_norm.pipeline import ENUMERATION_CAP, PASS_NAMES, _assemble
 
 
 def test_general_folds_everything():
@@ -225,3 +228,22 @@ def test_pass_names_stable():
 ])
 def test_acronym_read_before_full_stop(text, spoken):
     assert normalize_speech(text) == spoken
+
+
+# the clean-up as two passes: runs of spaces collapsed, then the space
+# before a closing mark dropped
+_MULTI_SPACE = re.compile(r"  +")
+_SPACE_BEFORE_PUNCT = re.compile(r" (?=[.,،؛;:!؟?»)\]])")
+
+
+def _two_pass_cleanup(text):
+    return _SPACE_BEFORE_PUNCT.sub("", _MULTI_SPACE.sub(" ", text)).strip()
+
+
+def test_one_pass_cleanup_matches_the_two_pass_one():
+    rng = random.Random(41)
+    alphabet = " .,،؛;:!؟?»)]a\tب"
+    for _ in range(100_000):
+        text = "".join(rng.choices(alphabet, k=rng.randrange(16)))
+        # with no spans, ``_assemble`` only cleans the text up
+        assert _assemble(text, [], []) == _two_pass_cleanup(text), repr(text)

@@ -67,8 +67,8 @@ def test_each_data_file_is_read_once_at_import():
 
 
 # modules that ``import dataclasses`` loads, as does ``importlib.resources``
-# on Python 3.12 and later; the package needs none of them
-_NOT_IMPORTED = {"dataclasses", "inspect", "ast", "dis"}
+# on Python 3.12 and later, and ``string``; the package needs none of them
+_NOT_IMPORTED = {"dataclasses", "inspect", "ast", "dis", "string"}
 
 
 def test_import_loads_no_dataclasses_machinery():

@@ -35,10 +35,13 @@ from persian_norm.scanner import (
     _EMAIL_PAT,
     _FRACTION_PAT,
     _LONG_NUMBER_PAT,
+    _NEED_SETS,
     _NUMBER_PAT,
+    _SPLIT_ROWS,
     _TIME_PAT,
     _TLD,
     _URL_PAT,
+    _candidates,
     _dotless,
     _resolve,
     _table_needs,
@@ -629,9 +632,12 @@ def test_scan_spans_are_disjoint_and_sorted():
         assert all(a.end <= b.start for a, b in zip(spans, spans[1:])), text
 
 
-_TRIGGER_CHARS = sorted(
-    frozenset().union(*(chars for _, _, needs in _DETECTORS for chars in needs))
-)
+def _needs_of(mask):
+    """The sets of characters a row's ``needs`` mask stands for."""
+    return [chars for i, chars in enumerate(_NEED_SETS) if mask >> i & 1]
+
+
+_TRIGGER_CHARS = sorted(frozenset().union(*_NEED_SETS))
 # single characters, plus the few multi-character pieces some rows need
 _FUZZ_PIECES = (
     list("ابپتچخدرزسشصطعفقکگلمنوهیآ")
@@ -662,9 +668,65 @@ def test_every_match_holds_its_row_characters():
     for text in texts:
         for pattern, _, needs in _DETECTORS:
             for m in pattern.finditer(text):
-                for chars in needs:
+                for chars in _needs_of(needs):
                     assert not chars.isdisjoint(m.group(0)), \
                         (pattern.pattern[:40], m.group(0), chars)
+
+
+def _reference_needs():
+    """Each row's ``needs`` as the tuple of sets ``_CLASSES`` gives it, for
+    every row and for the split rows, as ``_rows`` kept them before masks."""
+    every, split = [], []
+    for dotted, rows in _CLASSES.values():
+        every += [needs for _, _, needs in rows]
+        if dotted:
+            split = every.copy()
+    return every, split
+
+
+def _reference_rows_run(present, row_needs):
+    """The rows the per-row ``needs`` loop ran: those whose every set
+    ``present`` meets."""
+    run = []
+    for i, needs in enumerate(row_needs):
+        for chars in needs:
+            if present.isdisjoint(chars):
+                break
+        else:
+            run.append(i)
+    return run
+
+
+class _RecordingPattern:
+    """A row's pattern that matches nothing and records that it ran."""
+
+    def __init__(self, index, ran):
+        self.index, self.ran = index, ran
+
+    def finditer(self, text):
+        self.ran.append(self.index)
+        return iter(())
+
+
+def test_rows_run_by_mask_are_those_the_needs_loop_runs():
+    every, split = _reference_needs()
+    assert set(_NEED_SETS) == {chars for needs in every for chars in needs}
+    rng = random.Random(0)
+    sorted_sets = [sorted(chars) for chars in _NEED_SETS]
+    for rows, row_needs in ((_DETECTORS, every), (_SPLIT_ROWS, split)):
+        assert len(rows) == len(row_needs)
+        ran = []
+        recording = [(_RecordingPattern(i, ran), candidate, mask)
+                     for i, (_, candidate, mask) in enumerate(rows)]
+        for subset in range(1 << len(_NEED_SETS)):
+            chosen = [i for i in range(len(_NEED_SETS)) if subset >> i & 1]
+            # each chosen set whole, and one character of each
+            for present in (set().union(*(_NEED_SETS[i] for i in chosen)),
+                            {rng.choice(sorted_sets[i]) for i in chosen}):
+                ran.clear()
+                assert list(_candidates("", present, recording)) == []
+                assert ran == _reference_rows_run(present, row_needs), \
+                    (subset, sorted(present))
 
 
 def test_digit_set_is_the_digit_class():

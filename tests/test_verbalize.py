@@ -12,8 +12,9 @@ from persian_norm import (
     scan,
     verbalize_url_email,
 )
-from persian_norm.numwords import grouped_digit_words
-from persian_norm.scanner import Calendar, CalendarDate
+from persian_norm.numwords import cardinal_words, grouped_digit_words, ordinal_words
+from persian_norm.resources import rows
+from persian_norm.scanner import MONTH_NAMES, Calendar, CalendarDate
 from persian_norm.verbalize import (
     READINGS,
     compositions,
@@ -47,6 +48,41 @@ def test_date_default_reading():
 def test_date_has_ten_templates():
     d = CalendarDate(Calendar.SOLAR_HIJRI, 1400, 7, 25)
     assert len(date_variants(d)) == 10
+
+
+def _eager_date_variants(d):
+    """Every template of ``templates/date.txt`` formatted at once, as
+    ``date_variants`` built its list before it formatted on indexing."""
+    months = MONTH_NAMES[d.calendar]
+    fields = {
+        "day_ordinal": ordinal_words(d.day, first_form="اول"),
+        "day_cardinal": cardinal_words(d.day),
+        "month_name": months[d.month - 1],
+        "month_number": cardinal_words(d.month),
+        "year_cardinal": cardinal_words(d.year),
+    }
+    return [tpl.format(**fields) for tpl in rows("templates/date.txt")]
+
+
+def test_date_family_formats_like_the_eager_list():
+    rng = random.Random(43)
+    for calendar in Calendar:
+        for _ in range(60):
+            try:
+                d = CalendarDate(calendar, rng.randrange(1, 2500),
+                                 rng.randrange(1, 13), rng.randrange(1, 32))
+            except ValueError:
+                continue
+            family = date_variants(d)
+            assert len(family) == 10
+            # checked before ``list``, which stops only at an IndexError
+            with pytest.raises(IndexError):
+                family[10]
+            with pytest.raises(IndexError):
+                family[-11]
+            eager = _eager_date_variants(d)
+            assert list(family) == eager
+            assert [family[i] for i in range(-10, 0)] == eager
 
 
 def test_date_table_rows_present():
@@ -273,7 +309,7 @@ def test_policy_seeded_equal_seeds_equal_outputs():
 
 def test_outputs_contain_no_digits():
     d = CalendarDate(Calendar.SOLAR_HIJRI, 1400, 7, 25)
-    outputs = date_variants(d) + time_variants(11, 35) + \
-        phone_readings("09397796915", PhoneKind.MOBILE).readings()
+    outputs = [*date_variants(d), *time_variants(11, 35),
+               *phone_readings("09397796915", PhoneKind.MOBILE).readings()]
     for out in outputs:
         assert not any(ch.isdigit() for ch in out)
