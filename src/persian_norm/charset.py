@@ -1,12 +1,12 @@
 """Character-level canonicalization passes.
 
-Five passes, named by ``pipeline.PASS_NAMES`` and run by
-``pipeline.normalize_general``: letter variant folding, digit variant
-folding, punctuation normalization, markup-entity decoding
-(``html.unescape``) and emoji removal.  Each is a total function over text,
-idempotent but markup-entity decoding, which undoes one level of escaping
-per run: ``&amp;lt;`` decodes to ``&lt;``, and that to ``<``.  The
-inventories live in the tab-separated files under ``persian_norm/data``.
+Five passes, named by ``pipeline.PASS_NAMES``, run in this order by
+``pipeline.normalize_general``: markup-entity decoding (``html.unescape``),
+letter variant folding, digit variant folding, punctuation normalization
+and emoji removal.  Each is a total function over text, idempotent but
+markup-entity decoding, which undoes one level of escaping per run:
+``&amp;lt;`` decodes to ``&lt;``, and that to ``<``.  The inventories live
+in the tab-separated files under ``persian_norm/data``.
 
 The three fold passes each map characters through one table.
 ``composed_fold`` gives, for any set of them, one function that folds as

@@ -13,7 +13,8 @@ from . import charset
 from .scanner import SemioticSpan, scan
 from .verbalize import SelectionPolicy, option_count, span_variants
 
-# the passes after the fold passes, which run first as one composed fold
+# the passes that are not folds: entity decoding, before the composed fold so
+# that the fold maps what an entity decodes to, and emoji removal, after it
 GENERAL_PASSES = (
     ("decode_markup_entities", html.unescape),
     ("strip_emojis", charset.strip_emojis),
@@ -58,14 +59,14 @@ _DEFAULT_CONFIG = PipelineConfig()
 
 
 def normalize_general(text: str, config: PipelineConfig | None = None) -> str:
-    """Run the character-level canonicalization passes in fixed order: the
-    enabled fold passes as one composed fold, then the others."""
+    """Run the enabled passes in fixed order: entity decoding, the fold
+    passes as one composed fold, then emoji removal."""
     enabled = (config or _DEFAULT_CONFIG).enabled_passes
+    (decode_name, decode), (strip_name, strip) = GENERAL_PASSES
+    if decode_name in enabled:
+        text = decode(text)
     text = charset.composed_fold(enabled)(text)
-    for name, fn in GENERAL_PASSES:
-        if name in enabled:
-            text = fn(text)
-    return text
+    return strip(text) if strip_name in enabled else text
 
 
 def _assemble(text: str, spans: list[SemioticSpan], replacements: list[str]) -> str:

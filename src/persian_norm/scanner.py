@@ -531,19 +531,28 @@ def scan(text: str) -> list[SemioticSpan]:
     return spans
 
 
-def _dotted_intervals(text: str) -> list[tuple[int, int]]:
-    """The ``(start, end)`` of every span of ``scan(text)`` that holds a
-    dot, and of every dotted date shape, even one the calendar rejects, in
-    no particular order.
+def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
+    """Intervals covering every dot that must not split a sentence, sorted
+    and disjoint: those of the spans of ``scan(text)`` that hold a dot, and
+    of every dotted date shape, even one the calendar rejects, merged where
+    they overlap.  A text without a dot has none, and is not scanned.
 
     Only the ``_SPLIT_ROWS`` are run.  Their candidates come first in
     resolution order, so no later row changes which of them win, and no
     span of a later class holds a dot.
     """
+    if "." not in text:
+        return []
     present = set(_TRIGGER.findall(text))
     accepted = _resolve(_candidates(text, present, _SPLIT_ROWS), text)
     intervals = [(start, end) for _, start, end, _ in accepted
                  if text.find(".", start, end) != -1]
     intervals += [m.span() for m in _DATE_PAT.finditer(text)
                   if m.group(2) == "."]
-    return intervals
+    merged: list[tuple[int, int]] = []
+    for start, end in sorted(intervals):
+        if merged and start < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(end, merged[-1][1]))
+        else:
+            merged.append((start, end))
+    return merged

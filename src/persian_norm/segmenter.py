@@ -14,7 +14,7 @@ from collections.abc import Callable
 
 from .numwords import ZWNJ
 from .resources import rows
-from .scanner import _dotted_intervals
+from .scanner import protect_non_terminal_dots
 from .scanner import scan  # unused here; perfbench/tracing.py wraps segmenter.scan
 
 TERMINAL_MARKS = ".!?؟"
@@ -116,21 +116,6 @@ def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None)
         if flag and (i + 1 == len(flags) or not flags[i + 1]):
             positions.append(i)
     return positions
-
-
-def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
-    """Intervals covering every dot that must not split a sentence, sorted
-    and disjoint: the merged ``scanner._dotted_intervals``.  A text without
-    a dot has none, and is not scanned."""
-    if "." not in text:
-        return []
-    merged: list[tuple[int, int]] = []
-    for start, end in sorted(_dotted_intervals(text)):
-        if merged and start < merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(end, merged[-1][1]))
-        else:
-            merged.append((start, end))
-    return merged
 
 
 _TERMINAL_RUN = re.compile(f"[{re.escape(TERMINAL_MARKS)}]+")

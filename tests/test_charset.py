@@ -150,13 +150,13 @@ _FOLD_PASSES = [
 
 
 def _sequential_general(text, enabled):
-    """normalize_general as the passes one after the other: one alternation
-    sub per fold table, then entity decoding and emoji removal."""
+    """normalize_general as the passes one after the other: entity
+    decoding, one alternation sub per fold table, then emoji removal."""
+    if "decode_markup_entities" in enabled:
+        text = html.unescape(text)
     for name, tbl, pattern in _FOLD_PASSES:
         if name in enabled:
             text = pattern.sub(lambda m: tbl[m.group(0)], text)
-    if "decode_markup_entities" in enabled:
-        text = html.unescape(text)
     if "strip_emojis" in enabled:
         text = re.sub("  +", " ", _EMOJI_PAT.sub("", text)).strip()
     return text

@@ -35,18 +35,38 @@ def test_general_idempotent():
         assert normalize_general(once) == once
 
 
-# an entity is decoded one level per run, and the fold then maps what a named
-# entity decodes to, so a second run changes it again (ROADMAP direction 6)
-@pytest.mark.xfail(strict=True, reason="entity decoded, then folded, per run")
-@pytest.mark.parametrize("text", ["&amp;lt;", "&hellip;", "&ndash;"])
+# an entity is decoded before the fold, which then maps what it decodes to;
+# but one level of escaping is undone per run, so a second run decodes a
+# doubly escaped entity again (ROADMAP direction 1)
+@pytest.mark.parametrize("text", [
+    pytest.param("&amp;lt;", marks=pytest.mark.xfail(
+        strict=True, reason="one level of escaping undone per run")),
+    "&hellip;", "&ndash;",
+])
 def test_general_idempotent_on_entities(text):
     once = normalize_general(text)
     assert normalize_general(once) == once
 
 
+# the fold reads what an entity decodes to: the digits of a numeric
+# reference are still ASCII when it is decoded, and the fold's fullwidth
+# semicolon does not complete an entity left without one
+@pytest.mark.parametrize("text, expected", [
+    ("&#1587;&#1604;&#1575;&#1605;", "سلام"),
+    ("&#x6F1;", "۱"),
+    ("c&lt；", "c<;"),
+])
+def test_general_decodes_entities_before_the_fold(text, expected):
+    assert normalize_general(text) == expected
+
+
+def test_speech_reads_a_number_written_as_entities():
+    assert normalize_speech("عدد &#49;&#50; است") == "عدد دوازده است"
+
+
 # the digit-run row sits before DECIMAL's, so a fraction of a length and
 # checksum the row claims is read as a phone, ID or card, and the point is
-# left in the text (ROADMAP direction 6)
+# left in the text (ROADMAP direction 2)
 @pytest.mark.xfail(strict=True, reason="decimal fraction read as a national ID")
 def test_speech_decimal_with_an_id_shaped_fraction():
     assert normalize_speech("عدد 3.0523924984 است") == \
@@ -54,7 +74,7 @@ def test_speech_decimal_with_an_id_shaped_fraction():
 
 
 # a digit counts as a word character beside an abbreviation, so the
-# abbreviation is read only once the digit is spoken (ROADMAP direction 6)
+# abbreviation is read only once the digit is spoken (ROADMAP direction 7)
 @pytest.mark.xfail(strict=True, reason="abbreviation glued to a digit")
 @pytest.mark.parametrize("text", ["7ر.ک", "ر.ک7", "4IR"])
 def test_speech_abbreviation_glued_to_a_digit_is_idempotent(text):

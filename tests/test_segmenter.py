@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from persian_norm import (
     scan,
     split_sentences,
 )
-from persian_norm import segmenter
+from persian_norm import scanner, segmenter
 from persian_norm.cli import evaluate_gold_fixture, read_gold_fixture
 from persian_norm.resources import fixture_path
 from persian_norm.segmenter import evaluate_segmentation, protect_non_terminal_dots
@@ -105,13 +107,23 @@ def test_protected_intervals_cover_dots():
 
 
 def test_dotless_text_is_not_scanned(monkeypatch):
-    def no_scan(text):
+    def no_scan(*args):
         raise AssertionError("scanned a text without a dot")
 
-    monkeypatch.setattr(segmenter, "_dotted_intervals", no_scan)
+    monkeypatch.setattr(scanner, "_candidates", no_scan)
     assert split_sentences("ساعت 10:30 با 09121234567 تماس بگیرید؟ بله") == [
         "ساعت 10:30 با 09121234567 تماس بگیرید؟", "بله",
     ]
+
+
+def test_one_function_protects_dots():
+    # the segmenter calls the scanner's dot protection under its own name,
+    # and imports no private scanner name
+    assert segmenter.protect_non_terminal_dots is scanner.protect_non_terminal_dots
+    tree = ast.parse(Path(segmenter.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_phone_beats_decimal_at_a_dot():
@@ -123,7 +135,7 @@ def test_phone_beats_decimal_at_a_dot():
 
 
 # the ID the digit-run row reads in the fraction claims the digits, so the
-# decimal point ends a sentence (ROADMAP direction 6)
+# decimal point ends a sentence (ROADMAP direction 2)
 @pytest.mark.xfail(strict=True, reason="decimal fraction read as a national ID")
 def test_decimal_with_an_id_shaped_fraction_is_not_split():
     assert split_sentences("عدد 3.0523924984 است. تمام شد.") == [

@@ -18,12 +18,16 @@ def _namespaces():
     return [dict(vars(owner)) for owner in owners]
 
 
-def test_tracer_finds_every_name_and_restores_it():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
+def test_tracer_finds_every_name_and_restores_it():
     before = _namespaces()
-    tracer = tracing.Tracer()
+    tracer = _tracer()
     try:
         tracer.install(pipeline, segmenter, verbalize)
         assert tracer.missing == []
@@ -32,3 +36,14 @@ def test_tracer_finds_every_name_and_restores_it():
     for old, new in zip(before, _namespaces()):
         assert new.keys() == old.keys()
         assert [name for name in old if new[name] is not old[name]] == []
+
+
+def test_split_calls_dot_protection_through_the_segmenter():
+    tracer = _tracer()
+    try:
+        tracer.install(pipeline, segmenter, verbalize)
+        segmenter.split_sentences("عدد 3.14 است. تمام شد.")
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert "segmenter.protect_non_terminal_dots" in names

@@ -24,7 +24,9 @@ one with the ``fold_digits`` pass off, the hash takes:
   under the first policy only on a text without a span, where a policy has
   nothing to pick, and with the fold on, on a digit-script copy, which the
   fold gives the digits of the text as generated;
-* and, once per text, ``split_sentences``.
+* and, once per text, ``split_sentences`` and the intervals of
+  ``protect_non_terminal_dots``, so that a change to which dots are
+  protected shows even where no sentence boundary moves.
 
 So it covers everything that ``perfbench/run.py`` hashes into
 ``output_sha256`` at seeds 1-3: general, speech under the workload's policy
@@ -107,7 +109,8 @@ def seed_digest(src: Path, name: str, seed: int) -> str:
                 every = spans and (script is SCRIPTS[0] or fold is folds[1])
                 add([pn.normalize_speech(text, pn.PipelineConfig(fold.enabled_passes, p))
                      for p in (policies if every else policies[:1])])
-            add(pn.split_sentences(text))
+            add(pn.split_sentences(text),
+                pn.segmenter.protect_non_terminal_dots(text))
     return digest.hexdigest()
 
 
