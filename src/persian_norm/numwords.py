@@ -129,16 +129,18 @@ def grouped_digit_words(digits: str, group_sizes: list[int]) -> str:
         raise ValueError(
             f"group sizes {group_sizes} do not cover {len(digits)} digits"
         )
-    words = []
-    pos = 0
+    words, pos = [], 0
     for size in group_sizes:
-        group = digits[pos:pos + size]
+        words.append(_group_words(digits[pos:pos + size]))
         pos += size
-        stripped = group.lstrip(ZEROS)
-        words.extend([ONES[0]] * (len(group) - len(stripped)))
-        if stripped:
-            words.append(cardinal_words(int(stripped)))
     return " ".join(words)
+
+
+def _group_words(group: str) -> str:
+    """One group of ``grouped_digit_words``, its digits unchecked."""
+    stripped = group.lstrip(ZEROS)
+    zeros = [ONES[0]] * (len(group) - len(stripped))
+    return " ".join([*zeros, cardinal_words(int(stripped))] if stripped else zeros)
 
 
 def _word_ends(group: str) -> int:
@@ -171,24 +173,13 @@ def _scale_tokens(words: str) -> list[str]:
     return merged
 
 
-_UNIT_VALUES: dict[str, int] = {}
-for _i, _w in enumerate(ONES):
-    _UNIT_VALUES[_w] = _i
-for _i, _w in enumerate(TEENS):
-    _UNIT_VALUES[_w] = 10 + _i
-for _i, _w in enumerate(TENS):
-    if _w:
-        _UNIT_VALUES[_w] = 10 * _i
-for _i, _w in enumerate(HUNDREDS):
-    if _w:
-        _UNIT_VALUES[_w] = 100 * _i
-
-_SCALE_VALUES = {
-    "هزار": 10**3,
-    "میلیون": 10**6,
-    "میلیارد": 10**9,
-    "هزار میلیارد": 10**12,
+_UNIT_VALUES = {
+    **{w: i for i, w in enumerate(ONES)},
+    **{w: 10 + i for i, w in enumerate(TEENS)},
+    **{w: 10 * i for i, w in enumerate(TENS) if w},
+    **{w: 100 * i for i, w in enumerate(HUNDREDS) if w},
 }
+_SCALE_VALUES = {scale: 1000**i for i, scale in enumerate(SCALES) if scale}
 
 
 def words_to_number(words: str) -> int:

@@ -331,25 +331,38 @@ def _fraction(m, text):
             {"numerator": num, "denominator": den})
 
 
-# every currency symbol is one character, so the longest-first order is
-# the table's file order.  Each symbol also gives a bare-symbol candidate,
-# read when a row listed before (e.g. DECIMAL's) claims the amount
+def _one_character(tbl) -> str:
+    """The surfaces of ``tbl`` joined; raises ValueError if a surface is not
+    one character.  A class of them then matches exactly the surfaces."""
+    for surface in tbl:
+        if len(surface) != 1:
+            raise ValueError(f"table surface {surface!r} is not one character")
+    return "".join(tbl)
+
+
+# Each currency symbol is one character, so the row opens on one class of
+# the symbols and digits, and each branch gates that first character with a
+# lookbehind, as ``_URL_PAT`` does.  Each symbol also gives a bare-symbol
+# candidate, read when a row listed before (e.g. DECIMAL's) claims the amount
 _CURRENCY_SYMBOL_PAT = alternation(CURRENCIES)
-_AMOUNT = rf"{D}+(?:\.{D}+)?"
+_CURRENCY_CHARS = _one_character(CURRENCIES)
+_SIGNS = re.escape(_CURRENCY_CHARS)
 _CURRENCY_PAT = re.compile(
-    rf"(?P<pre>{_CURRENCY_SYMBOL_PAT.pattern})\s?(?P<preamt>{_AMOUNT})"
+    rf"[{_SIGNS}{DIGITS}](?:"
+    rf"(?<=[{_SIGNS}])\s?(?P<amount>{D}+(?:\.{D}+)?)"
     # an amount starts only where a digit run does: no retry from each digit
     # of a long run
-    rf"|(?<!{D})(?P<postamt>{_AMOUNT})\s?(?P<post>{_CURRENCY_SYMBOL_PAT.pattern})"
+    rf"|(?<={D})(?<!{D}.)(?P<rest>{D}*(?:\.{D}+)?)\s?(?P<symbol>[{_SIGNS}]))"
 )
 
 
 def _currency(m, text):
-    if m.group("pre"):
-        data = {"symbol": m.group("pre"), "amount": m.group("preamt")}
+    start = m.start()  # the symbol, or the amount's first digit
+    if m.group("amount") is None:
+        data = {"symbol": m.group("symbol"), "amount": text[start:m.end("rest")]}
     else:
-        data = {"symbol": m.group("post"), "amount": m.group("postamt")}
-    return SemioticClass.CURRENCY, m.start(), m.end(), data
+        data = {"symbol": text[start], "amount": m.group("amount")}
+    return SemioticClass.CURRENCY, start, m.end(), data
 
 
 def _bare_currency(m, text):
@@ -396,20 +409,19 @@ def _dotless(tbl):
     return tbl
 
 
-_CURRENCY_CHARS = _table_needs(CURRENCIES)
-
 # a maximal digit run: a plain number wherever no row listed before claims
-# a digit of it
-_NUMBER_PAT = re.compile(rf"{D}+")
+# a digit of it.  ``{D}{D}*`` opens on a class: ``re`` tries it only at digits
+_NUMBER_PAT = re.compile(rf"{D}{D}*")
 
 # Every semiotic class in overlap-resolution order: (can a span of it hold
 # a dot, its rows).  A row is (pattern, candidate, needs): ``candidate``
 # maps a match to ``(cls, start, end, data)``, or to None when a check
 # fails, and a None candidate yields the whole match; every match holds a
 # character of each set in ``needs``, so a text lacking one skips it.
+# A candidate's span is its match's (``_url`` trims the end, but URL is
+# the first row), so ``_accepted`` probes a match's span before its check.
 # The row listed first wins an overlap, just as the class listed first
-# would: a row's candidates are disjoint (each lies in its ``finditer``
-# match; ``_url`` only trims the end); rows sit at their class's place,
+# would: a row's candidates are disjoint; rows sit at their class's place,
 # save that the digit-run row also yields CARD_NUMBER and NATIONAL_ID, the
 # next two classes; and of a class's two rows, only a bare currency sign can
 # overlap an amount, whose row comes first (no math-symbol surface holds a
@@ -484,31 +496,28 @@ _NEED_BITS = _need_bits()
 _TRIGGER = re.compile("[" + re.escape("".join(sorted(_NEED_BITS))) + "]")
 
 
-def _candidates(text: str, present: set, rows):
-    """The candidates of the ``rows`` whose ``needs`` the ``present``
-    characters meet, in resolution order: row by row, each in text order."""
+def _accepted(text: str, present: set, rows) -> list[tuple]:
+    """Run, in order, the ``rows`` whose ``needs`` the ``present``
+    characters meet, and accept each candidate ``(cls, start, end, data)``
+    that overlaps none accepted before; return the accepted ones in that
+    order.  A match whose span overlaps one accepted costs one probe of the
+    coverage mask: its row's check is not run."""
     met = 0  # the need sets that ``present`` meets
     for c in present:
         met |= _NEED_BITS[c]
+    covered = bytearray(len(text))
+    probe = covered.find
+    accepted = []
     for pattern, candidate, needs in rows:
         if needs & met == needs:  # the text meets every set of the row
             for m in pattern.finditer(text):
-                c = candidate(m, text)
-                if c is not None:
-                    yield c
-
-
-def _resolve(candidates, text: str) -> list[tuple]:
-    """Accept, in order, each candidate ``(cls, start, end, data)``
-    overlapping none accepted before, and return the accepted ones in that
-    order."""
-    covered = bytearray(len(text))
-    accepted = []
-    for c in candidates:
-        _, start, end, _ = c
-        if covered.find(1, start, end) == -1:
-            covered[start:end] = b"\1" * (end - start)
-            accepted.append(c)
+                start, end = m.span()
+                if probe(1, start, end) == -1:
+                    c = candidate(m, text)
+                    if c is not None:
+                        end = c[2]  # ``_url`` may trim the end
+                        covered[start:end] = b"\1" * (end - start)
+                        accepted.append(c)
     return accepted
 
 
@@ -518,15 +527,14 @@ def scan(text: str) -> list[SemioticSpan]:
     Only the ``_DETECTORS`` rows whose ``needs`` the text meets are run: a
     row is skipped when the text holds no character of one of its sets, as
     none of its matches could then occur.  Of two overlapping candidates,
-    the one whose row is listed first in ``_CLASSES`` wins, in time linear
-    in the total length of the candidates.
+    the one whose row is listed first in ``_CLASSES`` wins (``_accepted``),
+    in time linear in the total length of the matches.
     """
     present = set(_TRIGGER.findall(text))
     if not present:
         return []
-    accepted = _resolve(_candidates(text, present, _DETECTORS), text)
     spans = [SemioticSpan(start, end, cls, text[start:end], data)
-             for cls, start, end, data in accepted]
+             for cls, start, end, data in _accepted(text, present, _DETECTORS)]
     spans.sort()  # starts are unique: spans are disjoint and non-empty
     return spans
 
@@ -544,8 +552,8 @@ def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
     if "." not in text:
         return []
     present = set(_TRIGGER.findall(text))
-    accepted = _resolve(_candidates(text, present, _SPLIT_ROWS), text)
-    intervals = [(start, end) for _, start, end, _ in accepted
+    intervals = [(start, end)
+                 for _, start, end, _ in _accepted(text, present, _SPLIT_ROWS)
                  if text.find(".", start, end) != -1]
     intervals += [m.span() for m in _DATE_PAT.finditer(text)
                   if m.group(2) == "."]

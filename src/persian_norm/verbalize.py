@@ -14,7 +14,8 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from .numwords import (
-    ZWNJ, _word_ends, cardinal_words, decimal_words, grouped_digit_words, ordinal_words)
+    ZWNJ, _group_words, _word_ends, cardinal_words, decimal_words, grouped_digit_words,
+    ordinal_words)
 from .resources import rows, table
 from .scanner import (
     ABBREV_FA,
@@ -258,7 +259,7 @@ def phone_readings(digits: str, kind: PhoneKind) -> GroupedReadings:
     # mobile's 09XX, a landline's area code 0XX; an 8-digit landline has none
     head = 4 if kind is PhoneKind.MOBILE else len(digits) - 8
     return GroupedReadings(
-        digits[head:], grouped_digit_words(digits[:head], [head]) if head else "")
+        digits[head:], _group_words(digits[:head]) if head else "")
 
 
 # --- abbreviations ---------------------------------------------------------

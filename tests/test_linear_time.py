@@ -24,7 +24,8 @@ from persian_norm import (
     scan,
     split_sentences,
 )
-from persian_norm.scanner import _resolve
+from persian_norm.scanner import _accepted
+from test_scanner import one_match_rows
 
 GROWTH_BOUND = 1.4
 
@@ -78,13 +79,14 @@ def _joined_emoji(n):
 
 
 def _reversed_spans(n):
-    # n disjoint TIME candidates from the end of the text back to its
-    # start, each followed by a PLAIN_NUMBER candidate that it covers
+    # rows of one match each: n disjoint TIME matches from the end of the
+    # text back to its start, each followed by a PLAIN_NUMBER match that it
+    # covers, so each row matches before the rows listed ahead of it
     candidates = []
     for i in reversed(range(n)):
         candidates.append((SemioticClass.TIME, 4 * i, 4 * i + 3, {}))
         candidates.append((SemioticClass.PLAIN_NUMBER, 4 * i + 2, 4 * i + 3, {}))
-    return candidates, "1:2 " * n
+    return "1:2 " * n, set(), one_match_rows(candidates)
 
 
 def test_latin_letter_run_speech():
@@ -117,7 +119,7 @@ def test_very_long_digit_run_speech_fixed(index):
 
 def test_many_spans_in_reverse_text_order_resolve():
     # each accepted span was inserted mid-list into three sorted lists
-    growth = _growth(lambda args: _resolve(*args), _reversed_spans(25000),
+    growth = _growth(lambda args: _accepted(*args), _reversed_spans(25000),
                      _reversed_spans(50000))
     assert growth < GROWTH_BOUND
 

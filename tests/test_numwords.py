@@ -9,7 +9,7 @@ from persian_norm import (
     ordinal_words,
     words_to_number,
 )
-from persian_norm.numwords import MAX_VALUE, group_words_to_digits
+from persian_norm.numwords import DIGITS, MAX_VALUE, _group_words, group_words_to_digits
 
 PERSIAN_WORD_CHARS = set(
     "ءآابپتثجچحخدذرزژسشصضطظعغفقکگلمنوهیئ" + "‌ "
@@ -148,6 +148,16 @@ def test_grouped_triple_with_zero():
 def test_grouped_reads_zeros_in_every_script():
     assert grouped_digit_words("۰۹۱۲", [4]) == "صفر نهصد و دوازده"
     assert grouped_digit_words("٠٠٥", [3]) == "صفر صفر پنج"
+
+
+def test_group_reader_reads_like_one_group():
+    # the unchecked per-group reader that phone heads are read through
+    ascii_groups = [f"{n:0{size}d}" for size in range(1, 5) for n in range(10**size)]
+    rng = random.Random(5)
+    mixed = ["".join(rng.choice(DIGITS) for _ in range(rng.randint(1, 4)))
+             for _ in range(20_000)]
+    for group in ascii_groups + mixed:
+        assert _group_words(group) == grouped_digit_words(group, [len(group)]), group
 
 
 def test_grouped_size_mismatch():

@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    from re import _parser as sre_parse  # Python 3.11 and later
+except ImportError:  # Python 3.10; importing ``sre_parse`` warns from 3.11 on
+    import sre_parse
+
 import persian_norm
 from persian_norm import (
     PhoneKind,
@@ -14,12 +19,13 @@ from persian_norm import (
     classify_phone,
     normalize_general,
     scan,
+    scanner,
     validate_card,
     validate_national_id,
     validate_sheba,
 )
 from persian_norm.numwords import DIGITS
-from persian_norm.resources import rows
+from persian_norm.resources import alternation, rows
 from persian_norm.scanner import (
     Calendar,
     CalendarDate,
@@ -27,7 +33,9 @@ from persian_norm.scanner import (
     MATH_SYMBOLS,
     D,
     _ABBREV_EN_PAT,
+    _ABBREV_FA_PAT,
     _CLASSES,
+    _CURRENCY_PAT,
     _DATE_PAT,
     _DECIMAL_PAT,
     _DETECTORS,
@@ -41,9 +49,10 @@ from persian_norm.scanner import (
     _TIME_PAT,
     _TLD,
     _URL_PAT,
-    _candidates,
+    _accepted,
+    _currency,
     _dotless,
-    _resolve,
+    _one_character,
     _table_needs,
     infer_calendar,
 )
@@ -613,16 +622,103 @@ def _pairwise_greedy(candidates, text):
             for cls, start, end, data in sorted(accepted, key=lambda c: c[1])]
 
 
+class _OneMatchPattern:
+    """A row's pattern whose one match, itself, has a given span."""
+
+    def __init__(self, start, end):
+        self._span = start, end
+
+    def finditer(self, text):
+        return iter((self,))
+
+    def span(self):
+        return self._span
+
+
+def one_match_rows(candidates):
+    """One row per candidate, in order: a match of the candidate's span whose
+    check gives the candidate, run whatever the text holds (mask 0)."""
+    return [(_OneMatchPattern(c[1], c[2]), lambda m, text, c=c: c, 0)
+            for c in candidates]
+
+
 def test_resolve_matches_pairwise_greedy():
     rng = random.Random(11)
     for _ in range(2000):
         text = "".join(rng.choice("12:/. ابپ") for _ in range(rng.randrange(1, 40)))
         candidates = _random_candidates(rng, len(text))
-        accepted = _resolve(candidates, text)
+        accepted = _accepted(text, set(), one_match_rows(candidates))
         spans = sorted(accepted, key=lambda c: c[1])
         assert [(start, end, cls, text[start:end], data)
                 for cls, start, end, data in spans] == \
             _pairwise_greedy(candidates, text), candidates
+
+
+def test_a_trimmed_candidate_covers_only_its_own_span():
+    # the first row's check may end its candidate before its match ends, as
+    # ``_url`` trims trailing marks; the trimmed characters stay free
+    url = (SemioticClass.URL, 0, 5, {})
+    rows = [(_OneMatchPattern(0, 7), lambda m, text: url, 0),
+            *one_match_rows([(SemioticClass.SYMBOL, 5, 6, {})])]
+    assert _accepted("a.com.!", set(), rows) == [url, (SemioticClass.SYMBOL, 5, 6, {})]
+
+
+def _scanned_texts(fuzz=5000):
+    """The mixed lines and the criterion-7 corpus, as written and after the
+    general pass, and ``fuzz`` fuzz lines."""
+    texts = _MIXED_LINES + criterion_7_corpus()[0]
+    return texts + [normalize_general(t) for t in texts] + _fuzz_lines(fuzz)
+
+
+def test_only_the_first_row_changes_a_match_span():
+    # ``_accepted`` probes a match's span before it runs the row's check.
+    # That is exact because every candidate keeps its match's span, save
+    # that ``_url`` trims the end, and URL's is the first row
+    assert _DETECTORS[0][0] is _URL_PAT
+    trimmed = 0
+    for text in _scanned_texts():
+        for i, (pattern, candidate, _) in enumerate(_DETECTORS):
+            for m in pattern.finditer(text):
+                c = candidate(m, text)
+                if c is None:
+                    continue
+                if i:
+                    assert (c[1], c[2]) == m.span(), (pattern.pattern[:40], text)
+                else:
+                    assert c[1] == m.start() and c[2] <= m.end(), text
+                    trimmed += c[2] < m.end()
+    assert trimmed  # the texts hold URLs that ``_url`` trims
+
+
+def test_a_losing_match_runs_no_check(monkeypatch):
+    # a match that overlaps a span taken before it costs one probe of the
+    # coverage mask: its row's check does not run
+    calls = []
+
+    def recording(candidate):
+        def check(m, text):
+            c = candidate(m, text)
+            calls.append((m.span(), c))
+            return c
+        return check
+
+    monkeypatch.setattr(scanner, "_DETECTORS", [
+        (pattern, recording(candidate), needs)
+        for pattern, candidate, needs in _DETECTORS])
+    for text in _scanned_texts():
+        calls.clear()
+        spans = scan(text)
+        covered = bytearray(len(text))
+        for (start, end), c in calls:
+            assert covered.find(1, start, end) == -1, (text, start, end)
+            if c is not None:
+                covered[c[1]:c[2]] = b"\1" * (c[2] - c[1])
+        assert sorted((c[1], c[2]) for _, c in calls if c is not None) == \
+            [(s.start, s.end) for s in spans]
+    # the two digit runs of a time match the PLAIN_NUMBER row and lose
+    calls.clear()
+    assert classes("ساعت 11:35") == [(SemioticClass.TIME, "11:35")]
+    assert [c[0] for _, c in calls] == [SemioticClass.TIME]
 
 
 def test_scan_spans_are_disjoint_and_sorted():
@@ -724,7 +820,7 @@ def test_rows_run_by_mask_are_those_the_needs_loop_runs():
             for present in (set().union(*(_NEED_SETS[i] for i in chosen)),
                             {rng.choice(sorted_sets[i]) for i in chosen}):
                 ran.clear()
-                assert list(_candidates("", present, recording)) == []
+                assert _accepted("", present, recording) == []
                 assert ran == _reference_rows_run(present, row_needs), \
                     (subset, sorted(present))
 
@@ -755,6 +851,38 @@ def test_table_surface_with_a_dot_raises():
         _dotless(tbl)
     del tbl["a.b"]
     assert _dotless(tbl) is tbl
+
+
+def test_table_surface_longer_than_one_character_raises():
+    tbl = {"$": "دلار", "US$": "دلار آمریکا"}
+    with pytest.raises(ValueError, match="US"):
+        _one_character(tbl)
+    del tbl["US$"]
+    assert _one_character(tbl) == "$"
+
+
+def _first_item(pattern):
+    """The first item of a parsed pattern, inside any groups it opens."""
+    op, av = sre_parse.parse(pattern.pattern, pattern.flags)[0]
+    while op is sre_parse.SUBPATTERN:
+        op, av = av[-1][0]
+    return op, av
+
+
+def test_rows_open_on_a_character_set():
+    # a pattern that opens on a literal, a class or an alternation of
+    # branches that each open on a literal is tried by ``re`` only at the
+    # characters it can start on; the Persian abbreviation row is left as
+    # it is (README, scanner section)
+    for pattern, _, _ in _DETECTORS:
+        if pattern is _ABBREV_FA_PAT:
+            continue
+        op, av = _first_item(pattern)
+        if op is sre_parse.BRANCH:
+            assert all(branch and branch[0][0] is sre_parse.LITERAL
+                       for branch in av[1]), pattern.pattern[:40]
+        else:
+            assert op in (sre_parse.LITERAL, sre_parse.IN), pattern.pattern[:40]
 
 
 # the rows that open on a digit not preceded by one, each with a text it
@@ -814,11 +942,41 @@ _REFERENCE_PATS = {
     _DECIMAL_PAT: re.compile(rf"({D}(?<!{D}{D}){D}{{0,14}})\.({D}+)(?!{D})"),
     _LONG_NUMBER_PAT: re.compile(rf"{D}(?<!{D}{D}){D}{{15,}}(?!{D})"),
     _FRACTION_PAT: re.compile(rf"({D}(?<!{D}{D}){D}?)/({D}{{1,2}})(?!{D})"),
+    # the plain-number and currency rows as written before they opened on a
+    # class, the symbols an alternation
+    _NUMBER_PAT: re.compile(rf"{D}+"),
+    _CURRENCY_PAT: re.compile(
+        rf"(?P<pre>{alternation(CURRENCIES).pattern})\s?(?P<preamt>{D}+(?:\.{D}+)?)"
+        rf"|(?<!{D})(?P<postamt>{D}+(?:\.{D}+)?)\s?"
+        rf"(?P<post>{alternation(CURRENCIES).pattern})"
+    ),
 }
 
 
 def _spans(pattern, text):
     return [m.span() for m in pattern.finditer(text)]
+
+
+# currency signs, digits of the three scripts and what may stand between
+_CURRENCY_FUZZ_PIECES = (list(CURRENCIES) * 3 + list(DIGITS) + list(". \t") * 3
+                         + ["ب", "a"])
+
+
+def test_currency_row_reads_its_reference_amounts():
+    # the same spans, and the same symbol and amount read from each
+    reference = _REFERENCE_PATS[_CURRENCY_PAT]
+    texts = _fuzz_lines(20000, pieces=_CURRENCY_FUZZ_PIECES)
+    texts += _MIXED_LINES + criterion_7_corpus()[0]
+    branches = set()
+    for text in texts:
+        want = []
+        for m in reference.finditer(text):
+            branches.add(m.group("pre") is None)
+            want.append((m.span(), {"symbol": m.group("pre") or m.group("post"),
+                                    "amount": m.group("preamt") or m.group("postamt")}))
+        got = [(m.span(), _currency(m, text)[3]) for m in _CURRENCY_PAT.finditer(text)]
+        assert got == want, text
+    assert branches == {True, False}  # signs both before and after amounts
 
 
 def test_leading_class_rows_match_their_reference():

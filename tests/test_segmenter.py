@@ -110,7 +110,7 @@ def test_dotless_text_is_not_scanned(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scanned a text without a dot")
 
-    monkeypatch.setattr(scanner, "_candidates", no_scan)
+    monkeypatch.setattr(scanner, "_accepted", no_scan)
     assert split_sentences("ساعت 10:30 با 09121234567 تماس بگیرید؟ بله") == [
         "ساعت 10:30 با 09121234567 تماس بگیرید؟", "بله",
     ]

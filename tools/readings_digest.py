@@ -18,8 +18,10 @@ is skipped).  For each text and each of two configs, the default one and
 one with the ``fold_digits`` pass off, the hash takes:
 
 * ``normalize_general(text)``;
-* for each span of ``scan(normalize_general(text))``, its class, its text,
-  its number of readings and its first 50 readings;
+* for each span of ``scan(normalize_general(text))``, its class, its
+  start and end, its text, the ``repr`` of its ``data``, its number of
+  readings and its first 50 readings, so that a scanner change that moves
+  an offset or alters ``data`` shows even where no reading changes;
 * ``normalize_speech`` under ``fixed(0..3)`` and ``seeded(1..3)``, but
   under the first policy only on a text without a span, where a policy has
   nothing to pick, and with the fold on, on a digit-script copy, which the
@@ -105,7 +107,8 @@ def seed_digest(src: Path, name: str, seed: int) -> str:
                     family = pn.verbalize.span_variants(span)
                     count = pn.verbalize.option_count(family)
                     shown = [family[i] for i in range(min(count, READINGS_SHOWN))]
-                    add(span.cls.name, span.raw, count, shown)
+                    add(span.cls.name, span.start, span.end, span.raw,
+                        repr(span.data), count, shown)
                 every = spans and (script is SCRIPTS[0] or fold is folds[1])
                 add([pn.normalize_speech(text, pn.PipelineConfig(fold.enabled_passes, p))
                      for p in (policies if every else policies[:1])])
