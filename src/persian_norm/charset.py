@@ -11,15 +11,17 @@ in the tab-separated files under ``persian_norm/data``.
 The three fold passes each map characters through one table.
 ``composed_fold`` gives, for any set of them, one function that folds as
 those passes would one after the other: a ``sub`` over the few ligatures
-spelled with more than one character, then a single ``str.translate``
-through one table composed from theirs.
+spelled with more than one character, where a ``search`` finds one, then a
+single ``str.translate`` through one table composed from theirs, from the
+first character that the table changes.  A text with nothing to decode,
+fold, strip or collapse comes back from the passes as the same object.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .resources import alternation, rows, table
 
@@ -58,31 +60,59 @@ check_fold_order(tuple(FOLD_TABLES.values()))
 _COMMON = {cp: cp for cp in (*range(0x80), *range(0x600, 0x700), 0x200C)}
 
 
+def _changed_class(codepoints: Iterable[int]) -> re.Pattern:
+    """One character class of ``codepoints``, each run of consecutive code
+    points written as one range: ``re`` tests the astral items of a class
+    one after another."""
+    items = []
+    for cp in sorted(codepoints):
+        if items and items[-1][1] == cp - 1:
+            items[-1][1] = cp
+        else:
+            items.append([cp, cp])
+    return re.compile("[" + "".join(
+        re.escape(chr(lo)) + (f"-{re.escape(chr(hi))}" if hi > lo else "")
+        for lo, hi in items) + "]")
+
+
 @functools.cache
 def composed_fold(passes: frozenset[str]) -> Callable[[str], str]:
     """The fold passes named in ``passes`` (other names are ignored) as one
-    function, built once per set of names."""
+    function, built once per set of names.
+
+    The function runs the ligature ``sub`` only where a ``search`` finds a
+    ligature, then searches one class of the code points that the composed
+    table changes: a text without one is returned as it is, and a text with
+    one is translated from that character on."""
     tables = [tbl for name, tbl in FOLD_TABLES.items() if name in passes]
+    if not tables:
+        return lambda text: text
     # ``check_fold_order`` keeps every replacement clear of the surfaces of
     # its own and later tables, so a surface folds, through all the tables
     # in turn, to its replacement in the first table that has it; and it
     # keeps the ligatures (the longer surfaces) in the first table, so the
     # translate after their sub leaves their replacements as they are
-    mapping = dict(_COMMON)
+    folded = {}
     for tbl in reversed(tables):
-        mapping.update((ord(s), r) for s, r in tbl.items() if len(s) == 1)
-    ligatures = {s: r for s, r in tables[0].items() if len(s) > 1} if tables else {}
+        folded.update((ord(s), r) for s, r in tbl.items() if len(s) == 1)
+    # no replacement holds its own surface, so every surface is changed
+    changed = _changed_class(folded)
+    mapping = {**_COMMON, **folded}
+    ligatures = {s: r for s, r in tables[0].items() if len(s) > 1}
     ligature_pat = alternation(ligatures) if ligatures else None
 
     def expand(m):
         return ligatures[m.group()]
 
     def fold(text: str) -> str:
-        if ligature_pat is not None:
+        if ligature_pat is not None and ligature_pat.search(text):
             text = ligature_pat.sub(expand, text)
-        out = text.translate(mapping)
-        # translate always copies: an unchanged text comes back as itself
-        return text if out == text else out
+        m = changed.search(text)
+        if m is None:
+            return text
+        # the characters before the first changed one are their own fold
+        i = m.start()
+        return text[:i] + text[i:].translate(mapping)
 
     return fold
 
@@ -106,7 +136,11 @@ _SPACES = re.compile("  +")
 
 
 def strip_emojis(text: str) -> str:
-    """Remove emoji sequences and collapse the whitespace they leave behind."""
+    """Remove emoji sequences, collapse every run of spaces (those an emoji
+    leaves behind and those the text had) to one, and strip whitespace at
+    both ends."""
     if _EMOJI_GUARD.search(text):
         text = _EMOJI_PAT.sub("", text)
-    return _SPACES.sub(" ", text).strip()
+    if "  " in text:
+        text = _SPACES.sub(" ", text)
+    return text.strip()

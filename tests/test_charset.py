@@ -5,8 +5,19 @@ import re
 
 import pytest
 
+try:
+    from re import _parser as sre_parse  # Python 3.11 and later
+except ImportError:  # Python 3.10; importing ``sre_parse`` warns from 3.11 on
+    import sre_parse
+
 from persian_norm import PipelineConfig, normalize_general
-from persian_norm.charset import _EMOJI_PAT, _EMOJI_RANGES, check_fold_order
+from persian_norm.charset import (
+    _EMOJI_PAT,
+    _EMOJI_RANGES,
+    _changed_class,
+    check_fold_order,
+    composed_fold,
+)
 from persian_norm.pipeline import PASS_NAMES
 from persian_norm.resources import alternation, table
 
@@ -219,3 +230,66 @@ def test_fold_key_that_is_an_emoji_is_folded():
 def test_ligature_with_each_fold_pass_disabled(ligature, disabled, expected):
     config = PipelineConfig() if disabled is None else PipelineConfig().disable(disabled)
     assert normalize_general(ligature, config) == expected
+
+
+_FOLD_NAMES = [name for name, _, _ in _FOLD_PASSES]
+_FOLD_SUBSETS = [frozenset(subset) for r in range(len(_FOLD_NAMES) + 1)
+                 for subset in itertools.combinations(_FOLD_NAMES, r)]
+_SURFACES = sorted({s for _, tbl, _ in _FOLD_PASSES for s in tbl if len(s) == 1})
+
+
+def _translate_reference(text, enabled):
+    """The fold passes one after the other, each as a plain
+    ``str.translate`` through its one-character surfaces."""
+    for name, tbl, _ in _FOLD_PASSES:
+        if name in enabled:
+            text = text.translate({ord(s): r for s, r in tbl.items() if len(s) == 1})
+    return text
+
+
+@pytest.mark.parametrize("enabled", _FOLD_SUBSETS, ids=lambda s: "+".join(sorted(s)) or "none")
+def test_fold_of_each_surface_matches_translate(enabled):
+    fold = composed_fold(enabled)
+    for c in _SURFACES:
+        text = "ب" + c + "ب"
+        assert fold(text) == _translate_reference(text, enabled), (enabled, c)
+
+
+_CLEAN = "ب" * 10_000
+
+
+@pytest.mark.parametrize("text", [
+    "يب ب", "ب بي ب", "ب ب ي", "ي", _CLEAN + "ي", _CLEAN + "ي" + _CLEAN,
+    "1 ب", "ب 1", "ب ١۲3", "🄰", "🅰", "ب🄰ب", "ب 🅰", "صلّـے1", "1صلـے", "5صلّـے٦",
+    "",
+])
+def test_fold_from_the_first_changed_character(text):
+    for enabled in _FOLD_SUBSETS:
+        assert composed_fold(enabled)(text) == _sequential_general(text, enabled), \
+            (enabled, text)
+
+
+@pytest.mark.parametrize("text", ["", "ب", "متن ساده فارسی با ۱۲۳", _CLEAN + " a b"])
+def test_text_with_nothing_to_change_is_returned_as_itself(text):
+    for r in range(len(PASS_NAMES) + 1):
+        for subset in itertools.combinations(PASS_NAMES, r):
+            assert normalize_general(text, PipelineConfig(subset)) is text, subset
+
+
+def test_changed_class_writes_astral_code_points_as_ranges():
+    # ``re`` tests each astral item of a class in turn; consecutive code
+    # points written as one range are one item
+    codepoints = [ord(s) for s in _SURFACES]
+    assert any(cp > 0xFFFF for cp in codepoints)
+    pattern = _changed_class(codepoints)
+    op, items = sre_parse.parse(pattern.pattern)[0]
+    assert op is sre_parse.IN
+    for op, av in items:
+        if op is sre_parse.LITERAL:
+            assert av <= 0xFFFF, hex(av)
+        else:
+            assert op is sre_parse.RANGE
+            assert av[0] < av[1] or av[1] <= 0xFFFF, [hex(cp) for cp in av]
+    covered = {cp for op, av in items
+               for cp in ([av] if op is sre_parse.LITERAL else range(av[0], av[1] + 1))}
+    assert covered == set(codepoints)

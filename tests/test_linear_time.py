@@ -149,3 +149,12 @@ def test_zwj_joined_emoji_run_general():
     growth = _growth(normalize_general, _joined_emoji(10000),
                      _joined_emoji(20000), calls=5)
     assert growth < GROWTH_BOUND
+
+
+@pytest.mark.parametrize("shape", [
+    lambda n: "ب" * n + "1",  # the one changed character is the last
+    lambda n: "1" + "ب" * n,  # every character after the first is translated
+], ids=["changed_last", "changed_first"])
+def test_fold_from_the_first_changed_character_general(shape):
+    growth = _growth(normalize_general, shape(100000), shape(200000), calls=5)
+    assert growth < GROWTH_BOUND

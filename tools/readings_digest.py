@@ -14,10 +14,12 @@ the longer runs have groupings counted in hundreds to thousands of
 decimal digits (about 2 450 at 20 000 digits, under the 4 300 that Python
 prints of an int).  Every text is read as generated and with its ASCII
 digits rewritten in Persian and in Arabic-Indic digits (a text met again
-is skipped).  For each text and each of two configs, the default one and
-one with the ``fold_digits`` pass off, the hash takes:
+is skipped).  For each text the hash takes ``normalize_general(text)``
+under each of the 32 sets of passes named by ``pipeline.PASS_NAMES``, so
+that every composed fold is compared with and without the other passes;
+and, for each of two configs, the default one and one with the
+``fold_digits`` pass off:
 
-* ``normalize_general(text)``;
 * for each span of ``scan(normalize_general(text))``, its class, its
   start and end, its text, the ``repr`` of its ``data``, its number of
   readings and its first 50 readings, so that a scanner change that moves
@@ -46,6 +48,7 @@ The jobs, one per line and seed, run in two worker processes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -79,6 +82,9 @@ def seed_digest(src: Path, name: str, seed: int) -> str:
     policies = [pn.SelectionPolicy.fixed(i) for i in range(4)]
     policies += [pn.SelectionPolicy.seeded(s) for s in SEEDS]
     folds = [pn.PipelineConfig(), pn.PipelineConfig().disable("fold_digits")]
+    names = pn.pipeline.PASS_NAMES
+    subsets = [pn.PipelineConfig(subset) for r in range(len(names) + 1)
+               for subset in itertools.combinations(names, r)]
     digest = hashlib.sha256()
 
     def add(*values):
@@ -99,10 +105,9 @@ def seed_digest(src: Path, name: str, seed: int) -> str:
             if text in seen:
                 continue
             seen.add(text)
+            add([pn.normalize_general(text, config) for config in subsets])
             for fold in folds:
-                general = pn.normalize_general(text, fold)
-                add(general)
-                spans = pn.scan(general)
+                spans = pn.scan(pn.normalize_general(text, fold))
                 for span in spans:
                     family = pn.verbalize.span_variants(span)
                     count = pn.verbalize.option_count(family)
