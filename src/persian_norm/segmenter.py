@@ -18,6 +18,7 @@ from .scanner import protect_non_terminal_dots
 from .scanner import scan  # unused here; perfbench/tracing.py wraps segmenter.scan
 
 TERMINAL_MARKS = ".!?؟"
+_MARK_SET = frozenset(TERMINAL_MARKS)
 DEFAULT_VERB_SPLIT_THRESHOLD = 30
 
 
@@ -118,19 +119,34 @@ def detect_verb_positions(tokens: list[str], lexicon: VerbLexicon | None = None)
     return positions
 
 
-_TERMINAL_RUN = re.compile(f"[{re.escape(TERMINAL_MARKS)}]+")
+# closers that a run of terminal marks takes with it, so that a sentence
+# ends after the quote or bracket it closes (those ``pipeline._EXTRA_SPACE``
+# keeps no space before)
+_CLOSERS = "»)]"
+# opened on one class, not ``[marks]+``: ``re`` gives a charset prefix to a
+# pattern that opens on a class, not to one that opens on a repeat, and with
+# it skips the text between runs in C
+_TERMINAL_RUN = re.compile(f"[{re.escape(TERMINAL_MARKS)}]"
+                           f"[{re.escape(TERMINAL_MARKS + _CLOSERS)}]*")
 
 
-def _split_on_terminals(text: str, protected) -> list[str]:
-    """Split after each run of terminal marks ("...", "?!", "؟؟") that holds
-    a mark outside every protected interval."""
-    covered = bytearray(len(text))
-    for start, end in protected:
-        covered[start:end] = b"\1" * (end - start)
+def _split_on_terminals(text: str) -> list[str]:
+    """Split after each run of terminal marks ("...", "?!", "؟»") that holds
+    a mark outside every interval of ``protect_non_terminal_dots``; a closer
+    in the run never splits it.  The intervals are found, and marked in a
+    coverage mask, only once a first run is met."""
+    covered = None
     segments = []
     start = 0
     for run in _TERMINAL_RUN.finditer(text):
-        if covered.find(0, run.start(), run.end()) != -1:
+        if covered is None:
+            covered = bytearray(len(text))
+            for left, right in protect_non_terminal_dots(text):
+                covered[left:right] = b"\1" * (right - left)
+        bare = covered.find(0, run.start(), run.end())
+        while bare != -1 and text[bare] in _CLOSERS:
+            bare = covered.find(0, bare + 1, run.end())
+        if bare != -1:
             segments.append(text[start:run.end()])
             start = run.end()
     if start < len(text):
@@ -156,14 +172,17 @@ def split_sentences(text: str, lexicon: VerbLexicon | None = None,
                     verb_split_threshold: int = DEFAULT_VERB_SPLIT_THRESHOLD) -> list[str]:
     """Split a paragraph into sentences."""
     lexicon = lexicon or DEFAULT_LEXICON
-    protected = protect_non_terminal_dots(text)
     sentences = []
-    for segment in _split_on_terminals(text, protected):
+    for segment in _split_on_terminals(text):
         stripped = segment.strip()
         if not stripped:
             continue
-        has_terminal = stripped[-1] in TERMINAL_MARKS
-        if not has_terminal and len(stripped.split()) > verb_split_threshold:
+        # n characters hold at most (n + 1) // 2 words, so a short segment
+        # is not split into words to count them; a segment that ends on a
+        # mark, closers aside, is never split at verbs
+        if ((len(stripped) + 1) // 2 > verb_split_threshold
+                and stripped.rstrip(_CLOSERS)[-1:] not in _MARK_SET
+                and len(stripped.split()) > verb_split_threshold):
             sentences.extend(_verb_split(stripped, lexicon))
         else:
             sentences.append(stripped)

@@ -69,6 +69,19 @@ def _decimal_paragraph(n):
     ) + " پایان."
 
 
+def _unpunctuated_words(n):
+    # about 9.6 UTF-8 bytes a word; no terminal mark, so the whole text is one
+    # segment that falls back to the verb split
+    rng = random.Random(1)
+    words = ("دانش‌آموزان", "به", "مدرسه", "رفتند", "معلم", "درس", "داد", "و")
+    return " ".join(rng.choice(words) for _ in range(n))
+
+
+def _short_sentences(n):
+    rng = random.Random(1)
+    return " ".join(f"هوا سرد بود{rng.choice('.!?؟')}" for _ in range(n))
+
+
 def _unfinished_ligatures(n):
     # "صل" begins both ligature surfaces; the run never completes one
     return "متن " + "صل" * n + " پایان"
@@ -128,6 +141,16 @@ def test_decimal_paragraph_split():
     # looking up each terminal mark in every protected interval was quadratic
     growth = _growth(split_sentences, _decimal_paragraph(2000),
                      _decimal_paragraph(4000))
+    assert growth < GROWTH_BOUND
+
+
+# each text about 200 KB, and 400 KB at twice n
+@pytest.mark.parametrize("shape, n", [
+    (_unpunctuated_words, 21_000),
+    (_short_sentences, 9_000),
+], ids=["no_terminal_mark", "short_sentences"])
+def test_split_growth(shape, n):
+    growth = _growth(split_sentences, shape(n), shape(2 * n))
     assert growth < GROWTH_BOUND
 
 

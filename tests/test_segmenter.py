@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,146 @@ def test_is_verb_matches_the_suffix_loops(lexicon):
         verbs += expected
     # the tokens hold both verbs and non-verbs in number
     assert 0.2 < verbs / len(tokens) < 0.8
+
+
+def test_closer_after_a_mark_stays_with_its_sentence():
+    assert split_sentences("او گفت «کجا رفتی؟» و رفت.") == [
+        "او گفت «کجا رفتی؟»", "و رفت.",
+    ]
+    assert split_sentences("(این جمله است.) بعدی.") == [
+        "(این جمله است.)", "بعدی.",
+    ]
+    assert split_sentences("فهرست [الف.] آمد.") == ["فهرست [الف.]", "آمد."]
+    # the run's marks alone decide whether it splits: the abbreviation
+    # protects the dot before the bracket
+    assert split_sentences("سازمان (U.N.) گفت.") == ["سازمان (U.N.) گفت."]
+    # a segment that ends on a mark and its closers is no verb-split tail
+    text = "او گفت «دانش‌آموزان به مدرسه رفتند معلم درس داد؟»"
+    assert split_sentences(text, verb_split_threshold=3) == [text]
+
+
+def test_text_without_a_terminal_mark_is_not_protected(monkeypatch):
+    def no_protection(*args):
+        raise AssertionError("protected a text without a terminal mark")
+
+    monkeypatch.setattr(segmenter, "protect_non_terminal_dots", no_protection)
+    text = "ساعت 10:30 با 09121234567 تماس بگیرید «بله» (فردا) رفتند"
+    assert split_sentences(text) == [text]
+    # counted and tested for verbs, still unprotected
+    assert split_sentences(text, verb_split_threshold=3) == [text]
+    assert split_sentences("") == []
+
+
+_REFERENCE_RUN = re.compile("[.!?؟]+")
+
+
+def _reference_split(text, threshold, verb_splits):
+    """The split as it was before protection waited for a terminal run: dots
+    protected up front, runs of ``[.!?؟]+`` and every segment without a
+    terminal mark split into words to count them.  Appends to
+    ``verb_splits`` each segment it splits at verbs."""
+    covered = bytearray(len(text))
+    for start, end in protect_non_terminal_dots(text):
+        covered[start:end] = b"\1" * (end - start)
+    segments, start = [], 0
+    for run in _REFERENCE_RUN.finditer(text):
+        if covered.find(0, run.start(), run.end()) != -1:
+            segments.append(text[start:run.end()])
+            start = run.end()
+    segments.append(text[start:])
+    sentences = []
+    for segment in segments:
+        stripped = segment.strip()
+        if not stripped:
+            continue
+        if stripped[-1] not in ".!?؟" and len(stripped.split()) > threshold:
+            verb_splits.append(stripped)
+            sentences.extend(segmenter._verb_split(stripped, DEFAULT_LEXICON))
+        else:
+            sentences.append(stripped)
+    return sentences
+
+
+_SPLIT_FUZZ_PIECES = [
+    "هوا", "سرد", "بود", "رفتند", "است", "می‌رود", "نیامد", "خواهم", "کتاب",
+    "دانش‌آموزان", "و", "a", "x", "NASA", "Ph.D", "U.S.A.", "ر.ک", "3.14",
+    "٣.١٤", "۱۴۰۰.۱۲.۳۰", "1400.13.30", "0000.01.01", "12.5$", "example.com",
+    "www.a.ir", "a@b.com", "09121234567.5", ".", "!", "?", "؟", "...", "?!",
+    "؟؟", ". .", "«", "»", "(", ")", "[", "]", _ZWNJ, "،", "\t", "\n",
+    " ", "  ",
+]
+_MARKLESS_PIECES = [p for p in _SPLIT_FUZZ_PIECES if not re.search("[.!?؟]", p)]
+_CLOSER_AFTER_MARK = re.compile(r"(?<=[.!?؟])(?=[»)\]])")
+
+
+def _split_fuzz_texts(n, seed):
+    """Seeded texts of marks, decimals, dates, URLs, abbreviations, verbs,
+    tabs and ZWNJ, with no closer right after a mark."""
+    rng = random.Random(seed)
+    texts = []
+    for i in range(n):
+        # one text in ten is long and holds no mark, for the verb split
+        pool, most = ((_MARKLESS_PIECES, 48) if i % 10 == 0
+                      else (_SPLIT_FUZZ_PIECES, 24))
+        pieces = rng.choices(pool, k=rng.randint(0, most))
+        text = "".join(p + rng.choice(("", " ", " ", "\t")) for p in pieces)
+        texts.append(_CLOSER_AFTER_MARK.sub(" ", text))
+    return texts
+
+
+_THRESHOLDS = [0, 1, 3, 30, 2.5, -1]
+
+
+@pytest.mark.parametrize("threshold", _THRESHOLDS)
+def test_split_matches_the_eager_reference(threshold):
+    verb_splits = []
+    texts = _split_fuzz_texts(3000, seed=11)
+    for text in texts:
+        assert split_sentences(text, verb_split_threshold=threshold) == \
+            _reference_split(text, threshold, verb_splits), text
+    # the fuzz reaches the verb-split fallback and texts with no terminal
+    # mark at all
+    assert verb_splits
+    assert any(not re.search("[.!?؟]", t) for t in texts)
+
+
+def _one_letter_words(n, sep):
+    """A segment of exactly ``n`` characters and (n + 1) // 2 words: words
+    of one letter (the last of two when ``n`` is even), single spaced but
+    for a first gap of ``sep``, so that a verb split, which joins its words
+    with single spaces, shows."""
+    words = ["ب"] * ((n + 1) // 2)
+    if n % 2 == 0:
+        words[-1] = "بب"
+    text = " ".join(words).replace(" ", sep, 1)
+    assert len(text) == n
+    return text
+
+
+@pytest.mark.parametrize("threshold", [1, 3, 30, 2.5])
+@pytest.mark.parametrize("sep", [" ", "\t"], ids=["space", "tab"])
+def test_word_count_bound_at_twice_the_threshold(threshold, sep):
+    for n in (int(2 * threshold) - 1, int(2 * threshold), int(2 * threshold) + 1):
+        for segment in (_one_letter_words(n, sep),
+                        "هوا سرد بود. " + _one_letter_words(n, sep)):
+            verb_splits = []
+            assert split_sentences(segment, verb_split_threshold=threshold) == \
+                _reference_split(segment, threshold, verb_splits), (n, segment)
+            # n characters of one-letter words: more words than the
+            # threshold exactly when (n + 1) // 2 exceeds it
+            assert bool(verb_splits) == ((n + 1) // 2 > threshold), n
+
+
+def test_terminal_run_spans_match_the_plain_run():
+    texts = _split_fuzz_texts(20000, seed=5)
+    texts += [_CLOSER_AFTER_MARK.sub(" ", text.replace(" ", ""))
+              for text in texts[:2000]]
+    runs = 0
+    for text in texts:
+        spans = [m.span() for m in segmenter._TERMINAL_RUN.finditer(text)]
+        assert spans == [m.span() for m in _REFERENCE_RUN.finditer(text)], text
+        runs += len(spans)
+    assert runs > 10000
 
 
 def test_empty_input():

@@ -28,7 +28,9 @@ and, for each of two configs, the default one and one with the
   under the first policy only on a text without a span, where a policy has
   nothing to pick, and with the fold on, on a digit-script copy, which the
   fold gives the digits of the text as generated;
-* and, once per text, ``split_sentences`` and the intervals of
+* and, once per text, ``split_sentences`` at each verb-split threshold of
+  ``SPLIT_THRESHOLDS`` (the default 30, and 3 and 2.5, at which short
+  segments reach the word count and the verb split) and the intervals of
   ``protect_non_terminal_dots``, so that a change to which dots are
   protected shows even where no sentence boundary moves.
 
@@ -65,6 +67,7 @@ READINGS_SHOWN = 50
 WORKERS = 2
 DIGIT_RUNS = "digit_runs"
 RUN_LENGTHS = (*range(1, 41), 159, 160, 1_000, 5_000, 20_000)
+SPLIT_THRESHOLDS = (30, 3, 2.5)
 
 
 def _import(src: Path):
@@ -117,7 +120,8 @@ def seed_digest(src: Path, name: str, seed: int) -> str:
                 every = spans and (script is SCRIPTS[0] or fold is folds[1])
                 add([pn.normalize_speech(text, pn.PipelineConfig(fold.enabled_passes, p))
                      for p in (policies if every else policies[:1])])
-            add(pn.split_sentences(text),
+            add([pn.split_sentences(text, verb_split_threshold=t)
+                 for t in SPLIT_THRESHOLDS],
                 pn.segmenter.protect_non_terminal_dots(text))
     return digest.hexdigest()
 
