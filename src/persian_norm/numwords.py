@@ -155,21 +155,14 @@ def _word_ends(group: str) -> int:
 
 
 def _scale_tokens(words: str) -> list[str]:
-    tokens = [t for t in words.split(" ") if t and t != "و"]
-    # the 10^12 scale is the bigram "هزار میلیارد"
+    # the 10^12 scale is the bigram "هزار میلیارد": a "میلیارد" joins the
+    # bare "هزار" kept before it
     merged = []
-    i = 0
-    while i < len(tokens):
-        if (
-            i + 1 < len(tokens)
-            and tokens[i] == "هزار"
-            and tokens[i + 1] == "میلیارد"
-        ):
-            merged.append("هزار میلیارد")
-            i += 2
-        else:
-            merged.append(tokens[i])
-            i += 1
+    for t in words.split(" "):
+        if t == "میلیارد" and merged and merged[-1] == "هزار":
+            merged[-1] = "هزار میلیارد"
+        elif t and t != "و":
+            merged.append(t)
     return merged
 
 

@@ -402,7 +402,7 @@ def _table_needs(tbl, chars: str | None = None) -> frozenset:
 
 def _dotless(tbl):
     """``tbl``; raises ValueError if a surface holds a dot.  A span of a
-    symbol row then never holds one, as its class declares."""
+    symbol row then never holds one, as ``_LAST_DOTTED`` assumes."""
     for surface in tbl:
         if "." in surface:
             raise ValueError(f"table surface {surface!r} holds a dot")
@@ -413,11 +413,11 @@ def _dotless(tbl):
 # a digit of it.  ``{D}{D}*`` opens on a class: ``re`` tries it only at digits
 _NUMBER_PAT = re.compile(rf"{D}{D}*")
 
-# Every semiotic class in overlap-resolution order: (can a span of it hold
-# a dot, its rows).  A row is (pattern, candidate, needs): ``candidate``
-# maps a match to ``(cls, start, end, data)``, or to None when a check
-# fails, and a None candidate yields the whole match; every match holds a
-# character of each set in ``needs``, so a text lacking one skips it.
+# Every semiotic class in overlap-resolution order, with its rows.  A row
+# is (pattern, candidate, needs): ``candidate`` maps a match to ``(cls,
+# start, end, data)``, or to None when a check fails, and a None candidate
+# yields the whole match; every match holds a character of each set in
+# ``needs``, so a text lacking one skips it.
 # A candidate's span is its match's (``_url`` trims the end, but URL is
 # the first row), so ``_accepted`` probes a match's span before its check.
 # The row listed first wins an overlap, just as the class listed first
@@ -427,30 +427,36 @@ _NUMBER_PAT = re.compile(rf"{D}{D}*")
 # overlap an amount, whose row comes first (no math-symbol surface holds a
 # digit or "/", so none overlaps a fraction).
 _CLASSES = {
-    "URL": (True, [(_URL_PAT, _url, _needs(".:", _LATIN_LETTERS))]),
-    "EMAIL": (True, [(_EMAIL_PAT, None, _needs("@"))]),
-    "SHEBA": (False, [(_SHEBA_PAT, _sheba, _needs("I", DIGITS))]),
-    "DATE": (True, [(_DATE_PAT, _date, _needs("/.-", DIGITS))]),
-    "TIME": (False, [(_TIME_PAT, _time, _needs(":", DIGITS))]),
-    "PHONE": (False, [(_DIGIT_RUN_PAT, _digit_run, _needs(DIGITS))]),
-    "CARD_NUMBER": (False, []),
-    "NATIONAL_ID": (False, []),
-    "DECIMAL": (True, [(_DECIMAL_PAT, _decimal, _needs(".", DIGITS))]),
-    "LONG_NUMBER": (False, [(_LONG_NUMBER_PAT, None, _needs(DIGITS))]),
-    "CURRENCY": (True, [
+    "URL": [(_URL_PAT, _url, _needs(".:", _LATIN_LETTERS))],
+    "EMAIL": [(_EMAIL_PAT, None, _needs("@"))],
+    "SHEBA": [(_SHEBA_PAT, _sheba, _needs("I", DIGITS))],
+    "DATE": [(_DATE_PAT, _date, _needs("/.-", DIGITS))],
+    "TIME": [(_TIME_PAT, _time, _needs(":", DIGITS))],
+    "PHONE": [(_DIGIT_RUN_PAT, _digit_run, _needs(DIGITS))],
+    "CARD_NUMBER": [],
+    "NATIONAL_ID": [],
+    "DECIMAL": [(_DECIMAL_PAT, _decimal, _needs(".", DIGITS))],
+    "LONG_NUMBER": [(_LONG_NUMBER_PAT, None, _needs(DIGITS))],
+    "CURRENCY": [
         (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, DIGITS)),
-        (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS))]),
-    "ABBREV_EN": (True, [(_ABBREV_EN_PAT, None, _needs(_LATIN_LETTERS))]),
-    "ABBREV_FA": (True, [
-        (_ABBREV_FA_PAT, None, _needs(_table_needs(ABBREV_FA, ".(")))]),
-    "MATH_SYMBOL": (False, [
+        (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS))],
+    "ABBREV_EN": [(_ABBREV_EN_PAT, None, _needs(_LATIN_LETTERS))],
+    "ABBREV_FA": [
+        (_ABBREV_FA_PAT, None, _needs(_table_needs(ABBREV_FA, ".(")))],
+    "MATH_SYMBOL": [
         (_FRACTION_PAT, _fraction, _needs("/", DIGITS)),
         (alternation(_dotless(MATH_SYMBOLS)), None,
-         _needs(_table_needs(MATH_SYMBOLS)))]),
-    "SYMBOL": (False, [
-        (alternation(_dotless(SYMBOLS)), None, _needs(_table_needs(SYMBOLS)))]),
-    "PLAIN_NUMBER": (False, [(_NUMBER_PAT, None, _needs(DIGITS))]),
+         _needs(_table_needs(MATH_SYMBOLS)))],
+    "SYMBOL": [
+        (alternation(_dotless(SYMBOLS)), None, _needs(_table_needs(SYMBOLS)))],
+    "PLAIN_NUMBER": [(_NUMBER_PAT, None, _needs(DIGITS))],
 }
+
+# the last class whose spans can hold a dot: no span of a class after it
+# does (``_dotless`` keeps the symbol tables free of dots; a fraction and a
+# digit run hold none), so the sentence split resolves only the rows of the
+# classes up to it
+_LAST_DOTTED = "ABBREV_FA"
 
 SemioticClass = Enum("SemioticClass", [(name, name) for name in _CLASSES],
                      module=__name__)
@@ -460,36 +466,28 @@ def _whole_match(cls):
     return lambda m, text: (cls, m.start(), m.end(), {})
 
 
-def _rows() -> tuple[tuple, list, list]:
-    """The distinct sets of ``needs`` in ``_CLASSES``; every row of
-    ``_CLASSES`` in class order, its ``needs`` as a mask with bit ``i`` set
-    for each set ``i``; and the rows of the classes up to the last one whose
-    spans can hold a dot."""
-    need_sets, every, split = {}, [], []
-    for cls, (dotted, rows) in zip(SemioticClass, _CLASSES.values()):
+def _rows() -> tuple[tuple, dict, list, list]:
+    """The distinct sets of ``needs`` in ``_CLASSES``; each of their
+    characters -> the mask with bit ``i`` set for each set ``i`` that holds
+    it; every row of ``_CLASSES`` in class order, its ``needs`` as such a
+    mask; and the rows of the classes up to ``_LAST_DOTTED``."""
+    need_sets, bits, every, split = {}, {}, [], []
+    for cls, rows in zip(SemioticClass, _CLASSES.values()):
         for pattern, candidate, needs in rows:
             mask = 0
             for chars in needs:
-                mask |= 1 << need_sets.setdefault(chars, len(need_sets))
+                if chars not in need_sets:
+                    need_sets[chars] = bit = 1 << len(need_sets)
+                    for c in chars:
+                        bits[c] = bits.get(c, 0) | bit
+                mask |= need_sets[chars]
             every.append((pattern, candidate or _whole_match(cls), mask))
-        if dotted:
+        if cls.name == _LAST_DOTTED:
             split = every.copy()
-    return tuple(need_sets), every, split
+    return tuple(need_sets), bits, every, split
 
 
-_NEED_SETS, _DETECTORS, _SPLIT_ROWS = _rows()
-
-
-def _need_bits() -> dict[str, int]:
-    """Each character of a need set -> the mask of the sets that hold it."""
-    bits: dict[str, int] = {}
-    for i, chars in enumerate(_NEED_SETS):
-        for c in chars:
-            bits[c] = bits.get(c, 0) | 1 << i
-    return bits
-
-
-_NEED_BITS = _need_bits()
+_NEED_SETS, _NEED_BITS, _DETECTORS, _SPLIT_ROWS = _rows()
 
 # one character class over every row's characters: a single pass finds
 # which of them a text holds
@@ -540,27 +538,21 @@ def scan(text: str) -> list[SemioticSpan]:
 
 
 def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
-    """Intervals covering every dot that must not split a sentence, sorted
-    and disjoint: those of the spans of ``scan(text)`` that hold a dot, and
-    of every dotted date shape, even one the calendar rejects, merged where
-    they overlap.  A text without a dot has none, and is not scanned.
+    """Intervals covering every dot, and every "?", "!" and "؟" inside a
+    URL, that must not end a sentence: the span of each candidate that wins
+    among the ``_SPLIT_ROWS``, and of each dotted date shape, even one the
+    calendar rejects.  They come in that order and may overlap.
 
-    Only the ``_SPLIT_ROWS`` are run.  Their candidates come first in
-    resolution order, so no later row changes which of them win, and no
-    span of a later class holds a dot.
+    The ``_SPLIT_ROWS`` come first in resolution order, so no later row
+    changes which of them win, and no span of a later class holds a dot.
+    A winner that can hold a terminal mark holds a dot, save a URL written
+    with a scheme, so a text with neither has none, and is not scanned.
     """
-    if "." not in text:
+    if "." not in text and "://" not in text:
         return []
     present = set(_TRIGGER.findall(text))
     intervals = [(start, end)
-                 for _, start, end, _ in _accepted(text, present, _SPLIT_ROWS)
-                 if text.find(".", start, end) != -1]
+                 for _, start, end, _ in _accepted(text, present, _SPLIT_ROWS)]
     intervals += [m.span() for m in _DATE_PAT.finditer(text)
                   if m.group(2) == "."]
-    merged: list[tuple[int, int]] = []
-    for start, end in sorted(intervals):
-        if merged and start < merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(end, merged[-1][1]))
-        else:
-            merged.append((start, end))
-    return merged
+    return intervals

@@ -42,6 +42,7 @@ from persian_norm.scanner import (
     _DIGIT_RUN_PAT,
     _EMAIL_PAT,
     _FRACTION_PAT,
+    _LAST_DOTTED,
     _LONG_NUMBER_PAT,
     _NEED_SETS,
     _NUMBER_PAT,
@@ -58,7 +59,7 @@ from persian_norm.scanner import (
 )
 from persian_norm.segmenter import protect_non_terminal_dots
 from test_acceptance import criterion_7_corpus
-from test_segmenter import _MIXED_LINES
+from test_segmenter import _DOTTED_CLASSES, _MIXED_LINES, _merged
 
 
 def classes(text):
@@ -773,9 +774,9 @@ def _reference_needs():
     """Each row's ``needs`` as the tuple of sets ``_CLASSES`` gives it, for
     every row and for the split rows, as ``_rows`` kept them before masks."""
     every, split = [], []
-    for dotted, rows in _CLASSES.values():
+    for name, rows in _CLASSES.items():
         every += [needs for _, _, needs in rows]
-        if dotted:
+        if name == _LAST_DOTTED:
             split = every.copy()
     return every, split
 
@@ -1146,18 +1147,13 @@ def _reference_scan(text):
 
 
 def _reference_protect(text):
-    if "." not in text:
+    if "." not in text and "://" not in text:
         return []
-    intervals = [(start, end) for start, end, _, raw, _ in _reference_scan(text)
-                 if "." in raw]
+    last = _PRIORITY_INDEX[SemioticClass[_LAST_DOTTED]]
+    intervals = [(start, end) for start, end, cls, _, _ in _reference_scan(text)
+                 if _PRIORITY_INDEX[cls] <= last]
     intervals += [m.span() for m in _DATE_PAT.finditer(text) if m.group(2) == "."]
-    merged = []
-    for start, end in sorted(intervals):
-        if merged and start < merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(end, merged[-1][1]))
-        else:
-            merged.append((start, end))
-    return merged
+    return _merged(intervals)
 
 
 def _assert_matches_reference(texts):
@@ -1168,10 +1164,11 @@ def _assert_matches_reference(texts):
         for s in spans:
             assert 0 <= s.start < s.end <= len(text), (text, s)
             assert s.raw == text[s.start:s.end], (text, s)
-        # the split runs no row of a class after the last one marked dotted
+        # no class but the six dotted ones, all up to ``_LAST_DOTTED``,
+        # gives a span that holds a dot
         assert not [s.raw for s in spans
-                    if "." in s.raw and not _CLASSES[s.cls.name][0]], text
-        assert protect_non_terminal_dots(text) == _reference_protect(text), text
+                    if "." in s.raw and s.cls not in _DOTTED_CLASSES], text
+        assert _merged(protect_non_terminal_dots(text)) == _reference_protect(text), text
 
 
 def test_scan_and_dot_protection_match_the_reference():

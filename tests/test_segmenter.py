@@ -61,6 +61,23 @@ def test_url_dot_protected():
     assert out == ["سایت example.com را ببینید.", "مفید است."]
 
 
+def test_url_marks_protected():
+    # a scheme's URL protects its "?" and "!" even where no dot is near
+    assert split_sentences("سایت http://localhost/x?y بود.") == [
+        "سایت http://localhost/x?y بود.",
+    ]
+    assert split_sentences("سایت http://localhost/x?y بود") == [
+        "سایت http://localhost/x?y بود",
+    ]
+
+
+def test_mark_after_a_url_splits():
+    # ``_url`` trims a closing mark out of the span, so it ends the sentence
+    assert split_sentences("آیا سایت http://localhost را دیدی؟ بله") == [
+        "آیا سایت http://localhost را دیدی؟", "بله",
+    ]
+
+
 def test_email_dot_protected():
     out = split_sentences("به a@b.com بنویسید. پاسخ می‌رسد.")
     assert out == ["به a@b.com بنویسید.", "پاسخ می‌رسد."]
@@ -85,10 +102,21 @@ _DOTTED_CLASSES = {
 }
 
 
+def _merged(intervals):
+    """``intervals`` sorted, with those that overlap merged."""
+    merged = []
+    for start, end in sorted(intervals):
+        if merged and start < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(end, merged[-1][1]))
+        else:
+            merged.append((start, end))
+    return merged
+
+
 def test_only_dotted_classes_hold_a_dot():
-    # the segmenter protects every span that holds a dot; over lines with
-    # every class, only these six ever do (a currency amount such as 12.5$
-    # leaves its dot to the decimal)
+    # the segmenter protects the spans of the classes up to the last that
+    # can hold a dot; over lines with every class, only these six ever do (a
+    # currency amount such as 12.5$ leaves its dot to the decimal)
     seen = set()
     for line in _MIXED_LINES:
         for text in (line, normalize_general(line)):
@@ -155,7 +183,7 @@ def test_rejected_dotted_date_keeps_its_dots():
     ]
     assert split_sentences("تاریخ 1400.12.30 بود.") == ["تاریخ 1400.12.30 بود."]
     # the date shape overlaps the DECIMAL span "0000.01": one interval
-    assert protect_non_terminal_dots("تاریخ 0000.01.01 بود.") == [(6, 16)]
+    assert _merged(protect_non_terminal_dots("تاریخ 0000.01.01 بود.")) == [(6, 16)]
 
 
 def test_character_conservation():

@@ -30,9 +30,12 @@ and, for each of two configs, the default one and one with the
   fold gives the digits of the text as generated;
 * and, once per text, ``split_sentences`` at each verb-split threshold of
   ``SPLIT_THRESHOLDS`` (the default 30, and 3 and 2.5, at which short
-  segments reach the word count and the verb split) and the intervals of
-  ``protect_non_terminal_dots``, so that a change to which dots are
-  protected shows even where no sentence boundary moves.
+  segments reach the word count and the verb split) and the positions of
+  the terminal marks that the union of ``protect_non_terminal_dots``'s
+  intervals covers, so that a change to which marks are protected shows
+  even where no sentence boundary moves.  The intervals themselves are not
+  hashed: two trees that protect the same marks with intervals cut or
+  merged differently give the same line.
 
 So it covers everything that ``perfbench/run.py`` hashes into
 ``output_sha256`` at seeds 1-3: general, speech under the workload's policy
@@ -122,8 +125,18 @@ def seed_digest(src: Path, name: str, seed: int) -> str:
                      for p in (policies if every else policies[:1])])
             add([pn.split_sentences(text, verb_split_threshold=t)
                  for t in SPLIT_THRESHOLDS],
-                pn.segmenter.protect_non_terminal_dots(text))
+                protected_marks(pn, text))
     return digest.hexdigest()
+
+
+def protected_marks(pn, text: str) -> list[int]:
+    """The positions of the terminal marks of ``text`` that an interval of
+    ``protect_non_terminal_dots`` covers."""
+    covered = bytearray(len(text))
+    for left, right in pn.segmenter.protect_non_terminal_dots(text):
+        covered[left:right] = b"\1" * (right - left)
+    marks = pn.segmenter.TERMINAL_MARKS
+    return [i for i, c in enumerate(text) if covered[i] and c in marks]
 
 
 def main(argv: list[str]) -> int:
