@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .numwords import DIGITS
@@ -27,7 +28,7 @@ ABBREV_FA = table("abbrev_fa")
 _LATIN_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 # the digits scanned; the checks below read them as written, in any mix of
-# scripts, with ``int`` after a ``lstrip(DIGITS)`` guard (``int`` takes "_")
+# scripts, after a ``lstrip(DIGITS)`` guard (``int`` takes "_")
 D = f"[{DIGITS}]"
 
 
@@ -149,37 +150,33 @@ def classify_phone(digits: str, left_context: str = "",
     return None
 
 
-def _all_same(values: list[int]) -> bool:
-    return len(set(values)) == 1
+# each digit of the three scripts -> the character whose code is its value,
+# so that a run read through it and encoded is the bytes of its values
+_DIGIT_VALUES = str.maketrans({c: chr(int(c)) for c in DIGITS})
+# Luhn's value of a doubled digit, indexed by the digit
+_LUHN_DOUBLED = bytes(2 * d - 9 * (d > 4) for d in range(10)).ljust(256, b"\0")
 
 
 def validate_national_id(digits: str) -> bool:
     """Iranian national-ID mod-11 checksum (all-same strings rejected)."""
     if len(digits) != 10 or digits.lstrip(DIGITS):
         raise ValueError("national ID must be exactly 10 digits")
-    values = list(map(int, digits))
-    if _all_same(values):
+    values = digits.translate(_DIGIT_VALUES).encode()
+    if values.count(values[0]) == 10:
         return False
-    total = sum(v * w for v, w in zip(values, range(10, 1, -1)))
-    r = total % 11
-    check = r if r < 2 else 11 - r
-    return values[9] == check
+    r = sum(map(mul, values, range(10, 1, -1))) % 11
+    return values[9] == (r if r < 2 else 11 - r)
 
 
 def validate_card(digits: str) -> bool:
     """Luhn mod-10 check for 16-digit card numbers (all-same rejected)."""
     if len(digits) != 16 or digits.lstrip(DIGITS):
         raise ValueError("card number must be exactly 16 digits")
-    values = list(map(int, digits))
-    if _all_same(values):
+    values = digits.translate(_DIGIT_VALUES).encode()
+    if values.count(values[0]) == 16:
         return False
-    total = 0
-    for i, d in enumerate(reversed(values)):
-        if i % 2 == 1:
-            d *= 2
-            if d > 9:
-                d -= 9
-        total += d
+    # from the right, every second digit is doubled, the last one not
+    total = sum(values[-1::-2]) + sum(values[-2::-2].translate(_LUHN_DOUBLED))
     return total % 10 == 0
 
 
@@ -208,6 +205,10 @@ _DATE_PAT = re.compile(
 )
 
 
+# a lunar month name within 20 characters of a date makes it lunar
+_LUNAR_MONTH_PAT = alternation(LUNAR_MONTHS)
+
+
 def _date(m, text):
     a, _, b, c = m.groups()
     a_i, b_i, c_i = int(a), int(b), int(c)
@@ -217,8 +218,8 @@ def _date(m, text):
         d, mo, y = a_i, b_i, c_i
     else:
         return None
-    window = text[max(0, m.start() - 20):m.end() + 20]
-    lunar = any(name in window for name in LUNAR_MONTHS)
+    lunar = _LUNAR_MONTH_PAT.search(
+        text, max(0, m.start() - 20), m.end() + 20) is not None
     try:
         date = CalendarDate(infer_calendar(y, lunar_context=lunar), y, mo, d)
     except ValueError:
@@ -383,8 +384,10 @@ _ABBREV_EN_PAT = re.compile(
 )
 
 
-def _needs(*chars: str) -> tuple[frozenset, ...]:
-    return tuple(frozenset(c) for c in chars)
+def _needs(*chars: str, run: int = 0) -> tuple:
+    """A row's ``needs``: the set of each of ``chars``, and ``run``, when
+    given, the least length of the digit run every match holds whole."""
+    return tuple(frozenset(c) for c in chars) + ((run,) if run else ())
 
 
 def _table_needs(tbl, chars: str | None = None) -> frozenset:
@@ -417,7 +420,8 @@ _NUMBER_PAT = re.compile(rf"{D}{D}*")
 # is (pattern, candidate, needs): ``candidate`` maps a match to ``(cls,
 # start, end, data)``, or to None when a check fails, and a None candidate
 # yields the whole match; every match holds a character of each set in
-# ``needs``, so a text lacking one skips it.
+# ``needs``, and, for a number in ``needs``, a whole maximal run of at
+# least that many digits, so a text lacking one skips it.
 # A candidate's span is its match's (``_url`` trims the end, but URL is
 # the first row), so ``_accepted`` probes a match's span before its check.
 # The row listed first wins an overlap, just as the class listed first
@@ -429,14 +433,14 @@ _NUMBER_PAT = re.compile(rf"{D}{D}*")
 _CLASSES = {
     "URL": [(_URL_PAT, _url, _needs(".:", _LATIN_LETTERS))],
     "EMAIL": [(_EMAIL_PAT, None, _needs("@"))],
-    "SHEBA": [(_SHEBA_PAT, _sheba, _needs("I", DIGITS))],
+    "SHEBA": [(_SHEBA_PAT, _sheba, _needs("I", run=24))],
     "DATE": [(_DATE_PAT, _date, _needs("/.-", DIGITS))],
     "TIME": [(_TIME_PAT, _time, _needs(":", DIGITS))],
-    "PHONE": [(_DIGIT_RUN_PAT, _digit_run, _needs(DIGITS))],
+    "PHONE": [(_DIGIT_RUN_PAT, _digit_run, _needs(run=8))],
     "CARD_NUMBER": [],
     "NATIONAL_ID": [],
     "DECIMAL": [(_DECIMAL_PAT, _decimal, _needs(".", DIGITS))],
-    "LONG_NUMBER": [(_LONG_NUMBER_PAT, None, _needs(DIGITS))],
+    "LONG_NUMBER": [(_LONG_NUMBER_PAT, None, _needs(run=16))],
     "CURRENCY": [
         (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, DIGITS)),
         (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS))],
@@ -466,48 +470,92 @@ def _whole_match(cls):
     return lambda m, text: (cls, m.start(), m.end(), {})
 
 
-def _rows() -> tuple[tuple, dict, list, list]:
-    """The distinct sets of ``needs`` in ``_CLASSES``; each of their
+def _rows() -> tuple[tuple, dict, tuple, list, list]:
+    """The distinct sets of characters in the rows' ``needs``; each of their
     characters -> the mask with bit ``i`` set for each set ``i`` that holds
-    it; every row of ``_CLASSES`` in class order, its ``needs`` as such a
-    mask; and the rows of the classes up to ``_LAST_DOTTED``."""
-    need_sets, bits, every, split = {}, {}, [], []
+    it; each length of digit run up to the longest a row needs -> the mask
+    of the run lengths it meets, whose bits follow the sets'; every row of
+    ``_CLASSES`` in class order, its ``needs`` as such a mask; and the rows
+    of the classes up to ``_LAST_DOTTED``."""
+    needs = [need for rows in _CLASSES.values() for *_, row_needs in rows
+             for need in row_needs]
+    runs = sorted({need for need in needs if isinstance(need, int)})
+    need_sets = tuple(dict.fromkeys(
+        need for need in needs if not isinstance(need, int)))
+    bit = {need: 1 << i for i, need in enumerate(need_sets + tuple(runs))}
+    bits = {}
+    for chars in need_sets:
+        for c in chars:
+            bits[c] = bits.get(c, 0) | bit[chars]
+    run_bits = tuple(sum(bit[run] for run in runs if run <= length)
+                     for length in range(runs[-1] + 1))
+    every, split = [], []
     for cls, rows in zip(SemioticClass, _CLASSES.values()):
-        for pattern, candidate, needs in rows:
-            mask = 0
-            for chars in needs:
-                if chars not in need_sets:
-                    need_sets[chars] = bit = 1 << len(need_sets)
-                    for c in chars:
-                        bits[c] = bits.get(c, 0) | bit
-                mask |= need_sets[chars]
+        for pattern, candidate, row_needs in rows:
+            mask = sum(bit[need] for need in set(row_needs))
             every.append((pattern, candidate or _whole_match(cls), mask))
         if cls.name == _LAST_DOTTED:
             split = every.copy()
-    return tuple(need_sets), bits, every, split
+    return need_sets, bits, run_bits, every, split
 
 
-_NEED_SETS, _NEED_BITS, _DETECTORS, _SPLIT_ROWS = _rows()
-
-# one character class over every row's characters: a single pass finds
-# which of them a text holds
-_TRIGGER = re.compile("[" + re.escape("".join(sorted(_NEED_BITS))) + "]")
+_NEED_SETS, _NEED_BITS, _RUN_BITS, _DETECTORS, _SPLIT_ROWS = _rows()
 
 
-def _accepted(text: str, present: set, rows) -> list[tuple]:
-    """Run, in order, the ``rows`` whose ``needs`` the ``present``
-    characters meet, and accept each candidate ``(cls, start, end, data)``
-    that overlaps none accepted before; return the accepted ones in that
-    order.  A match whose span overlaps one accepted costs one probe of the
-    coverage mask: its row's check is not run."""
-    met = 0  # the need sets that ``present`` meets
-    for c in present:
+def _odd_letters(bits: dict) -> tuple[tuple[str, int], ...]:
+    """Each Latin letter whose mask in ``bits`` differs from the bits every
+    letter shares, with its mask.  A letter run's first letter gives the
+    shared bits, and these letters their own where the text holds them.
+    Raises ValueError unless every digit has the same mask, as a digit
+    run's first digit gives the bits of the whole run."""
+    if len({bits[c] for c in DIGITS}) != 1:
+        raise ValueError("the digits do not all share one need mask")
+    common = -1
+    for c in _LATIN_LETTERS:
+        common &= bits[c]
+    return tuple((c, bits[c]) for c in _LATIN_LETTERS if bits[c] != common)
+
+
+_ODD_LETTERS = _odd_letters(_NEED_BITS)
+# the shortest digit run a row needs: the shorter lengths meet none
+_SHORTEST_RUN = _RUN_BITS.count(0)
+
+# One pass finds which of the rows' characters a text holds: each maximal
+# run of digits and each of Latin letters is one token, and every other
+# character of a row one token of its own.  Collapsing runs keeps the token
+# list short on long numbers and Latin words.  The pattern opens on one
+# class, so ``re`` tries it only at those characters; a lookbehind on the
+# character matched picks the run, if any, that goes on from it
+_TRIGGER = re.compile(
+    "[" + re.escape("".join(sorted(_NEED_BITS))) + "]"
+    rf"(?:(?<={D}){D}*|(?<=[{_LATIN_LETTERS}])[{_LATIN_LETTERS}]*)?"
+)
+_first = itemgetter(0)
+
+
+def _accepted(text: str, tokens, rows) -> list[tuple]:
+    """Run, in order, the ``rows`` whose ``needs`` the ``tokens`` of
+    ``text`` (``_TRIGGER.findall(text)``) meet, and accept each candidate
+    ``(cls, start, end, data)`` that overlaps none accepted before; return
+    the accepted ones in that order.  A match whose span overlaps one
+    accepted costs one probe of the coverage mask: its row's check is not
+    run."""
+    met = 0  # the needs that ``tokens`` meet
+    for c in set(map(_first, tokens)):
         met |= _NEED_BITS[c]
+    for letter, bits in _ODD_LETTERS:
+        if letter in text:
+            met |= bits
+    # the longest digit run, read only when a token is long enough: of the
+    # tokens of two characters or more, only digit runs are decimal
+    if max(map(len, tokens), default=0) >= _SHORTEST_RUN:
+        longest = max(map(len, filter(str.isdecimal, tokens)), default=0)
+        met |= _RUN_BITS[min(longest, len(_RUN_BITS) - 1)]
     covered = bytearray(len(text))
     probe = covered.find
     accepted = []
     for pattern, candidate, needs in rows:
-        if needs & met == needs:  # the text meets every set of the row
+        if needs & met == needs:  # the text meets every need of the row
             for m in pattern.finditer(text):
                 start, end = m.span()
                 if probe(1, start, end) == -1:
@@ -523,18 +571,31 @@ def scan(text: str) -> list[SemioticSpan]:
     """Return all maximal non-overlapping semiotic spans, sorted by start.
 
     Only the ``_DETECTORS`` rows whose ``needs`` the text meets are run: a
-    row is skipped when the text holds no character of one of its sets, as
-    none of its matches could then occur.  Of two overlapping candidates,
-    the one whose row is listed first in ``_CLASSES`` wins (``_accepted``),
-    in time linear in the total length of the matches.
+    row is skipped when the text holds no character of one of its sets, or
+    no digit run as long as it needs, as none of its matches could then
+    occur.  Of two overlapping candidates, the one whose row is listed
+    first in ``_CLASSES`` wins (``_accepted``), in time linear in the total
+    length of the matches.
     """
-    present = set(_TRIGGER.findall(text))
-    if not present:
+    tokens = _TRIGGER.findall(text)
+    if not tokens:
         return []
     spans = [SemioticSpan(start, end, cls, text[start:end], data)
-             for cls, start, end, data in _accepted(text, present, _DETECTORS)]
+             for cls, start, end, data in _accepted(text, tokens, _DETECTORS)]
     spans.sort()  # starts are unique: spans are disjoint and non-empty
     return spans
+
+
+class _Found(list):
+    """Matches found before, in a row in place of the pattern that found
+    them: ``_accepted`` reads them as that pattern's matches."""
+
+    def finditer(self, text):
+        return iter(self)
+
+
+# where DATE's row is among the ``_SPLIT_ROWS``
+_DATE_ROW = [pattern for pattern, _, _ in _SPLIT_ROWS].index(_DATE_PAT)
 
 
 def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
@@ -547,12 +608,14 @@ def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:
     changes which of them win, and no span of a later class holds a dot.
     A winner that can hold a terminal mark holds a dot, save a URL written
     with a scheme, so a text with neither has none, and is not scanned.
+    DATE's row and the date shapes read one pass of ``_DATE_PAT``.
     """
     if "." not in text and "://" not in text:
         return []
-    present = set(_TRIGGER.findall(text))
-    intervals = [(start, end)
-                 for _, start, end, _ in _accepted(text, present, _SPLIT_ROWS)]
-    intervals += [m.span() for m in _DATE_PAT.finditer(text)
-                  if m.group(2) == "."]
+    dates = _Found(_DATE_PAT.finditer(text))
+    rows = _SPLIT_ROWS.copy()
+    rows[_DATE_ROW] = (dates, *rows[_DATE_ROW][1:])
+    intervals = [(start, end) for _, start, end, _
+                 in _accepted(text, _TRIGGER.findall(text), rows)]
+    intervals += [m.span() for m in dates if m.group(2) == "."]
     return intervals

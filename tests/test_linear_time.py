@@ -62,6 +62,16 @@ def _digit_run(n):
     return "شماره " + "".join(str(i * 7 % 9 + 1) for i in range(n))
 
 
+def _seven_digit_runs(n):
+    # each run one digit short of the shortest the digit-run row needs
+    rng = random.Random(1)
+    return " ".join(str(rng.randrange(10**6, 10**7)) for _ in range(n)) + " پایان."
+
+
+def _dotted_letter_run(n):
+    return _letter_run(n) + "."
+
+
 def _decimal_paragraph(n):
     rng = random.Random(1)
     return " ".join(
@@ -151,6 +161,18 @@ def test_decimal_paragraph_split():
 ], ids=["no_terminal_mark", "short_sentences"])
 def test_split_growth(shape, n):
     growth = _growth(split_sentences, shape(n), shape(2 * n))
+    assert growth < GROWTH_BOUND
+
+
+# each text about 200 KB, and 400 KB at twice n; the scanner's first pass
+# gives each run one token
+@pytest.mark.parametrize("fn", [scan, split_sentences], ids=["scan", "split"])
+@pytest.mark.parametrize("shape, n", [
+    (_seven_digit_runs, 25_000),
+    (_dotted_letter_run, 200_000),
+], ids=["seven_digit_runs", "letter_run"])
+def test_run_growth(fn, shape, n):
+    growth = _growth(fn, shape(n), shape(2 * n))
     assert growth < GROWTH_BOUND
 
 

@@ -82,6 +82,15 @@ def test_speech_abbreviation_glued_to_a_digit_is_idempotent(text):
     assert normalize_speech(once) == once
 
 
+# the abbreviations of "before noon" and "after noon" after a time
+@pytest.mark.parametrize("text, expected", [
+    ("جلسه ساعت ۱۰ ق.ظ برگزار شد.", "جلسه ساعت ده قبل از ظهر برگزار شد."),
+    ("ساعت ۵ ب.ظ رسید.", "ساعت پنج بعد از ظهر رسید."),
+])
+def test_speech_reads_noon_abbreviations(text, expected):
+    assert normalize_speech(text) == expected
+
+
 def test_disable_pass():
     config = PipelineConfig().disable("strip_emojis")
     assert "😀" in normalize_general("سلام 😀", config)

@@ -44,15 +44,18 @@ from persian_norm.scanner import (
     _FRACTION_PAT,
     _LAST_DOTTED,
     _LONG_NUMBER_PAT,
+    _NEED_BITS,
     _NEED_SETS,
     _NUMBER_PAT,
     _SPLIT_ROWS,
     _TIME_PAT,
     _TLD,
+    _TRIGGER,
     _URL_PAT,
     _accepted,
     _currency,
     _dotless,
+    _odd_letters,
     _one_character,
     _table_needs,
     infer_calendar,
@@ -278,6 +281,57 @@ def test_card_superscript_digit_is_a_length_error():
 def test_card_digits_of_other_scripts_are_a_length_error():
     with pytest.raises(ValueError, match="exactly 16 digits"):
         validate_card("6104337852441441".translate(_DEVANAGARI))
+
+
+# the checks as they read digits before, one ``int`` per digit
+def _reference_national_id(digits):
+    values = list(map(int, digits))
+    if len(set(values)) == 1:
+        return False
+    total = sum(v * w for v, w in zip(values, range(10, 1, -1)))
+    r = total % 11
+    check = r if r < 2 else 11 - r
+    return values[9] == check
+
+
+def _reference_card(digits):
+    values = list(map(int, digits))
+    if len(set(values)) == 1:
+        return False
+    total = 0
+    for i, d in enumerate(reversed(values)):
+        if i % 2 == 1:
+            d *= 2
+            if d > 9:
+                d -= 9
+        total += d
+    return total % 10 == 0
+
+
+@pytest.mark.parametrize("validate, reference, n", [
+    (validate_national_id, _reference_national_id, 10),
+    (validate_card, _reference_card, 16),
+], ids=["national_id", "card"])
+def test_validators_match_their_per_digit_references(validate, reference, n):
+    # random values, one digit repeated, and valid strings with one digit
+    # changed, each written in one of the three scripts or in a mix
+    rng = random.Random(3)
+    valid, outcomes = [], set()
+    for i in range(20000):
+        values = [rng.randrange(10) for _ in range(n)]
+        if i % 10 == 0:
+            values = [values[0]] * n
+        elif i % 10 == 1 and valid:
+            values = list(rng.choice(valid))
+            k = rng.randrange(n)
+            values[k] = (values[k] + rng.randrange(1, 10)) % 10
+        digits = rng.choice(_in_every_script("".join(map(str, values))))
+        expected = reference(digits)
+        assert validate(digits) is expected, digits
+        if expected:
+            valid.append(values)
+        outcomes.add((expected, len(set(values)) == 1))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def _make_iban(body22: str) -> str:
@@ -781,17 +835,34 @@ def _reference_needs():
     return every, split
 
 
-def _reference_rows_run(present, row_needs):
-    """The rows the per-row ``needs`` loop ran: those whose every set
-    ``present`` meets."""
+def _reference_rows_run(text, row_needs):
+    """The rows the per-row ``needs`` loop ran: those whose every set the
+    characters of ``text`` meet, and whose run length, if any, a digit run
+    of ``text`` reaches."""
+    present = set(text)
+    longest = max(map(len, re.findall(rf"{D}+", text)), default=0)
     run = []
     for i, needs in enumerate(row_needs):
-        for chars in needs:
-            if present.isdisjoint(chars):
+        for need in needs:
+            if (longest < need if isinstance(need, int)
+                    else present.isdisjoint(need)):
                 break
         else:
             run.append(i)
     return run
+
+
+def _run_lengths():
+    """Each length of digit run a row of ``_CLASSES`` needs, with its row's
+    pattern."""
+    return [(need, pattern) for rows in _CLASSES.values()
+            for pattern, _, needs in rows for need in needs
+            if isinstance(need, int)]
+
+
+# digit runs just shorter than, as long as and just longer than each length
+# a row needs
+_NEAR_RUN_LENGTHS = sorted({n + d for n, _ in _run_lengths() for d in (-1, 0, 1)})
 
 
 class _RecordingPattern:
@@ -807,7 +878,8 @@ class _RecordingPattern:
 
 def test_rows_run_by_mask_are_those_the_needs_loop_runs():
     every, split = _reference_needs()
-    assert set(_NEED_SETS) == {chars for needs in every for chars in needs}
+    assert set(_NEED_SETS) == {chars for needs in every for chars in needs
+                               if not isinstance(chars, int)}
     rng = random.Random(0)
     sorted_sets = [sorted(chars) for chars in _NEED_SETS]
     for rows, row_needs in ((_DETECTORS, every), (_SPLIT_ROWS, split)):
@@ -817,13 +889,34 @@ def test_rows_run_by_mask_are_those_the_needs_loop_runs():
                      for i, (_, candidate, mask) in enumerate(rows)]
         for subset in range(1 << len(_NEED_SETS)):
             chosen = [i for i in range(len(_NEED_SETS)) if subset >> i & 1]
-            # each chosen set whole, and one character of each
+            # each chosen set whole, and one character of each, written in
+            # a random order, so that digits and letters run together, and,
+            # with a digit, a run of about a length some row needs
             for present in (set().union(*(_NEED_SETS[i] for i in chosen)),
                             {rng.choice(sorted_sets[i]) for i in chosen}):
+                chars = sorted(present)
+                rng.shuffle(chars)
+                text = "".join(chars)
+                if not present.isdisjoint(DIGITS):
+                    text += " " + rng.choice(DIGITS) * rng.choice(_NEAR_RUN_LENGTHS)
                 ran.clear()
-                assert _accepted("", present, recording) == []
-                assert ran == _reference_rows_run(present, row_needs), \
-                    (subset, sorted(present))
+                assert _accepted(text, _TRIGGER.findall(text), recording) == []
+                assert ran == _reference_rows_run(text, row_needs), \
+                    (subset, text)
+
+
+def test_every_digit_shares_one_need_mask():
+    # a digit run's first digit gives the bits of the whole run, and a
+    # Latin-letter run's first letter those of every letter but ``I``
+    assert _odd_letters(_NEED_BITS) == (("I", _NEED_BITS["I"]),)
+    for digit in ("5", "۵", "٥"):
+        with pytest.raises(ValueError, match="digits"):
+            _odd_letters({**_NEED_BITS, digit: _NEED_BITS[digit] | 1})
+
+
+def test_trigger_tokens_are_runs_and_single_characters():
+    assert _TRIGGER.findall("کارت 6104337852441441 و IR۰۱۲ در a.com؟ ۱۲/۳") == [
+        "6104337852441441", "IR", "۰۱۲", "a", ".", "com", "۱۲", "/", "۳"]
 
 
 def test_digit_set_is_the_digit_class():
@@ -1180,22 +1273,52 @@ _TO_PERSIAN = str.maketrans("0123456789", "۰۱۲۳۴۵۶۷۸۹")
 
 
 def _digit_runs():
-    """Runs of 7-17 digits: mobile, area-code and other prefixes, one digit
+    """Runs of 7-26 digits: mobile, area-code and other prefixes, one digit
     repeated, and national IDs and cards with valid and invalid checksums."""
     runs = {"0523924984", "0523924985", "6104337852441441", "6104337852441442"}
-    for n in range(7, 18):
-        runs |= {("09" + "1234567890" * 2)[:n], ("021" + "5" * 20)[:n],
+    for n in range(7, 27):
+        runs |= {("09" + "1234567890" * 3)[:n], ("021" + "5" * 30)[:n],
                  "7" * n, "".join(str(i * 7 % 10) for i in range(n))}
     return sorted(runs | {r.translate(_TO_PERSIAN) for r in runs})
 
 
+# a valid Sheba's 24 digits
+_SHEBA_DIGITS = "820540102680020817909002"
+
 _DIGIT_RUN_SHAPES = [
     "{}", "شماره {} است", "تلفن {}", "{} تلفن", "شماره {}.5 است.",
     "عدد 3.{} بود.", "{}.{}", "IR{}", "{}$", "ساعت 1:{}", "تاریخ 1400.01.{}",
+    # "IR" and 23, 24 or 25 digits beside the run
+    f"IR{_SHEBA_DIGITS[:23]} و {{}}", f"IR{_SHEBA_DIGITS} و {{}}",
+    f"IR{_SHEBA_DIGITS}5 و {{}}",
+    # the run glued to Latin letters, and a Sheba whose "I" is inside a run
+    # of them
+    "abc{}xyz", "IR{}I", "x{}.com", f"xIR{_SHEBA_DIGITS} و {{}}",
 ]
 
 
+def _digit_run_texts():
+    return [shape.format(*[run] * shape.count("{}"))
+            for run in _digit_runs() for shape in _DIGIT_RUN_SHAPES]
+
+
 def test_digit_runs_match_the_reference():
-    texts = [shape.format(*[run] * shape.count("{}"))
-             for run in _digit_runs() for shape in _DIGIT_RUN_SHAPES]
+    texts = _digit_run_texts()
     _assert_matches_reference(texts + [normalize_general(t) for t in texts])
+
+
+def test_every_match_of_a_run_row_holds_a_run_that_long():
+    # scan skips a row when the text's longest digit run is shorter than the
+    # row needs; that is exact only if every match of the row holds a
+    # maximal digit run of at least that length whole
+    assert sorted(n for n, _ in _run_lengths()) == [8, 16, 24]
+    matched = set()
+    for text in _scanned_texts() + _digit_run_texts():
+        runs = [m.span() for m in re.finditer(rf"{D}+", text)]
+        for n, pattern in _run_lengths():
+            for m in pattern.finditer(text):
+                assert any(m.start() <= start and end <= m.end()
+                           and end - start >= n for start, end in runs), \
+                    (pattern.pattern[:40], m.group(0))
+                matched.add(n)
+    assert matched == {8, 16, 24}

@@ -56,6 +56,13 @@ def test_abbreviation_dot_protected():
     assert out == ["برای جزئیات ر.ک فصل سوم.", "آنجا مثال هست."]
 
 
+@pytest.mark.parametrize("text", [
+    "جلسه ساعت ۱۰ ق.ظ برگزار شد.", "ساعت ۵ ب.ظ رسید.",
+])
+def test_noon_abbreviation_dot_protected(text):
+    assert split_sentences(text) == [text]
+
+
 def test_url_dot_protected():
     out = split_sentences("سایت example.com را ببینید. مفید است.")
     assert out == ["سایت example.com را ببینید.", "مفید است."]
