@@ -1,12 +1,13 @@
 """Character-level canonicalization passes.
 
 Five passes, named by ``pipeline.PASS_NAMES``, run in this order by
-``pipeline.normalize_general``: markup-entity decoding (``html.unescape``),
-letter variant folding, digit variant folding, punctuation normalization
-and emoji removal.  Each is a total function over text, idempotent but
-markup-entity decoding, which undoes one level of escaping per run:
-``&amp;lt;`` decodes to ``&lt;``, and that to ``<``.  The inventories live
-in the tab-separated files under ``persian_norm/data``.
+``pipeline.normalize_general``: markup-entity decoding, letter variant
+folding, digit variant folding, punctuation normalization and emoji
+removal.  Each is a total function over text, and idempotent: entity
+decoding undoes every level of escaping, up to ``ENTITY_DEPTH`` of them, so
+``&amp;lt;`` decodes to ``<``.
+The inventories live in the tab-separated files under
+``persian_norm/data``.
 
 The three fold passes each map characters through one table.
 ``composed_fold`` gives, for any set of them, one function that folds as
@@ -20,6 +21,7 @@ fold, strip or collapse comes back from the passes as the same object.
 from __future__ import annotations
 
 import functools
+import html
 import re
 from collections.abc import Callable, Iterable, Sequence
 
@@ -31,6 +33,26 @@ FOLD_TABLES = {
     "fold_digits": table("digit_map"),
     "fold_punctuation": table("punct_map"),
 }
+
+
+# more levels of escaping than real text holds: each level costs a pass over
+# the whole text, so ``&`` and n times ``amp;`` would cost n passes
+ENTITY_DEPTH = 8
+
+
+def decode_markup_entities(text: str) -> str:
+    """``html.unescape`` until nothing changes, for up to ``ENTITY_DEPTH``
+    levels of escaping: an escaped entity such as ``&amp;#49;`` decodes to
+    ``1``, before the digit fold, and not to a reference the fold would
+    make unreadable."""
+    if "&" not in text:  # most text: cost no more than ``html.unescape``
+        return text
+    for _ in range(ENTITY_DEPTH):
+        decoded = html.unescape(text)
+        if decoded == text:
+            break
+        text = decoded
+    return text
 
 
 def check_fold_order(tables: Sequence[dict[str, str]]) -> None:

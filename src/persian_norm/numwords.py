@@ -79,6 +79,9 @@ def cardinal_words(n: int) -> str:
     return CONJ.join(parts)
 
 
+# typed: the key of ``(2.0,)`` equals that of ``(2,)``, and ``cardinal_words``
+# refuses a float
+@lru_cache(maxsize=1024, typed=True)
 def ordinal_words(n: int, first_form: str = "یکم") -> str:
     """Persian ordinal; ``first_form`` picks "یکم" or "اول" for 1."""
     if n < 1:
@@ -129,6 +132,11 @@ def grouped_digit_words(digits: str, group_sizes: list[int]) -> str:
         raise ValueError(
             f"group sizes {group_sizes} do not cover {len(digits)} digits"
         )
+    return _grouping_words(digits, group_sizes)
+
+
+def _grouping_words(digits: str, group_sizes) -> str:
+    """``grouped_digit_words``, its arguments unchecked."""
     words, pos = [], 0
     for size in group_sizes:
         words.append(_group_words(digits[pos:pos + size]))
@@ -136,6 +144,7 @@ def grouped_digit_words(digits: str, group_sizes: list[int]) -> str:
     return " ".join(words)
 
 
+@lru_cache(maxsize=2048)
 def _group_words(group: str) -> str:
     """One group of ``grouped_digit_words``, its digits unchecked."""
     stripped = group.lstrip(ZEROS)
@@ -143,15 +152,30 @@ def _group_words(group: str) -> str:
     return " ".join([*zeros, cardinal_words(int(stripped))] if stripped else zeros)
 
 
-def _word_ends(group: str) -> int:
-    """Bit k-1 set where a word of the group's reading ends after digit k.
+# each digit to "1" if it is a zero, else to "0"
+_ZERO_FLAGS = str.maketrans({d: "01"[d in ZEROS] for d in DIGITS})
+
+
+def _zero_bits(digits: str) -> int:
+    """Bit i set where ``digits[i]``, a digit of ``DIGITS``, is a zero."""
+    return int(digits.translate(_ZERO_FLAGS)[::-1], 2)
+
+
+def _word_ends(zero_bits: int, size: int) -> list[int]:
+    """Where the words of each group of ``size`` digits end, for every start
+    at once: bit p of entry j is set where the reading of the group at digit
+    p has a word end after its digit j + 1.  ``zero_bits`` are the
+    ``_zero_bits`` of the whole digit string.
 
     Each leading zero is one word ("صفر"), the rest one cardinal; two
     groupings of a digit string read the same exactly when their words end
     at the same digits.
     """
-    zeros = len(group) - len(group.lstrip(ZEROS))
-    return ((1 << zeros) - 1) | (1 << (len(group) - 1))
+    ends, leading = [], -1
+    for j in range(size - 1):
+        leading &= zero_bits >> j  # the group's first j + 1 digits are zeros
+        ends.append(leading)
+    return [*ends, -1]  # its last digit ends a word
 
 
 def _scale_tokens(words: str) -> list[str]:

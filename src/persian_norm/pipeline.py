@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import html
 import itertools
 import math
 import random
 import re
 from collections import namedtuple
+from functools import lru_cache
 
 from . import charset
 from .scanner import SemioticSpan, scan
@@ -16,7 +16,7 @@ from .verbalize import SelectionPolicy, option_count, span_variants
 # the passes that are not folds: entity decoding, before the composed fold so
 # that the fold maps what an entity decodes to, and emoji removal, after it
 GENERAL_PASSES = (
-    ("decode_markup_entities", html.unescape),
+    ("decode_markup_entities", charset.decode_markup_entities),
     ("strip_emojis", charset.strip_emojis),
 )
 PASS_NAMES = (*charset.FOLD_TABLES, *(name for name, _ in GENERAL_PASSES))
@@ -80,15 +80,30 @@ def _assemble(text: str, spans: list[SemioticSpan], replacements: list[str]) -> 
     return _EXTRA_SPACE.sub("", "".join(parts)).strip()
 
 
+# typed: ``2**80 == 2.0**80``, but ``random.Random`` seeds an int by its value
+# and a float by its hash
+@lru_cache(maxsize=16, typed=True)
+def _seed_state(seed) -> tuple:
+    """The state ``random.Random(seed)`` starts in."""
+    return random.Random(seed).getstate()
+
+
 def normalize_speech(text: str, config: PipelineConfig | None = None) -> str:
-    """General normalization, then every non-standard word spoken out."""
+    """General normalization, then every non-standard word spoken out.  A
+    SEEDED policy draws from a generator of its own for each call, restored
+    to the state ``random.Random(seed)`` starts in."""
     config = config or _DEFAULT_CONFIG
     text = normalize_general(text, config)
     spans = scan(text)
     if not spans:
         return text
     policy = config.policy
-    rng = random.Random(policy.seed) if policy.seed is not None else None
+    rng = None
+    if policy.seed is not None:
+        # restoring a kept state is cheaper than seeding, which hashes a
+        # str or bytes seed and expands any seed into the whole state
+        rng = random.Random.__new__(random.Random)
+        rng.setstate(_seed_state(policy.seed))
     replacements = [policy.choose(span_variants(span), rng)
                     for span in spans]
     return _assemble(text, spans, replacements)

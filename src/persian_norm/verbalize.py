@@ -14,8 +14,8 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from .numwords import (
-    ZWNJ, _group_words, _word_ends, cardinal_words, decimal_words, grouped_digit_words,
-    ordinal_words)
+    DIGITS, ZWNJ, _group_words, _grouping_words, _word_ends, _zero_bits, cardinal_words,
+    decimal_words, ordinal_words)
 from .resources import rows, table
 from .scanner import (
     ABBREV_FA,
@@ -32,15 +32,22 @@ from .scanner import (
 
 class SelectionPolicy(namedtuple("SelectionPolicy", "index seed")):
     """Takes option ``index`` when ``seed`` is None (``fixed``); otherwise
-    draws from ``random.Random(seed)`` (``seeded``)."""
+    draws from ``random.Random(seed)`` (``seeded``).  A seed is of a type
+    ``random.Random`` takes, a ``bytearray`` kept as ``bytes``: both seed
+    the same state, and the policy stays hashable and its draws fixed."""
 
     __slots__ = ()
 
-    def __new__(cls, index: int = 0, seed: int | None = None):
+    def __new__(cls, index: int = 0, seed: int | float | str | bytes | None = None):
         if not isinstance(index, int) or isinstance(index, bool):
             raise TypeError(f"option index must be an int, not {index!r}")
         if index < 0:
             raise ValueError(f"option index must be 0 or more, not {index}")
+        if isinstance(seed, bytearray):
+            seed = bytes(seed)
+        elif seed is not None and not isinstance(seed, (int, float, str, bytes)):
+            raise TypeError("seed must be an int, float, str, bytes or "
+                            f"bytearray, not {type(seed).__name__}")
         return super().__new__(cls, index, seed)
 
     @classmethod
@@ -52,7 +59,7 @@ class SelectionPolicy(namedtuple("SelectionPolicy", "index seed")):
         return cls(index=index)
 
     @classmethod
-    def seeded(cls, seed: int) -> "SelectionPolicy":
+    def seeded(cls, seed: int | float | str | bytes) -> "SelectionPolicy":
         return cls(seed=seed)
 
     def choose(self, options: Sequence[str], rng: random.Random | None = None) -> str:
@@ -191,28 +198,51 @@ class GroupedReadings:
     ``compositions(len(digits))[i]``.  With ``lead``, the reading in the
     ``lead`` group sizes comes first and every composition that reads the
     same is left out.  Length and indexing build no other reading, so a
-    policy's pick costs one ``grouped_digit_words`` call however many
-    groupings there are.
+    policy's pick reads only its own groups, each one ``_group_words`` call.
+    Raises ValueError unless ``digits`` is a digit string of the three
+    scripts and ``lead``, if given, groups of 1 to 4 digits that cover it.
     """
 
     # a plain class: a dataclass costs a millisecond of every import
     def __init__(self, digits: str, prefix: str = "", lead: tuple[int, ...] = ()):
+        if not digits or digits.lstrip(DIGITS):
+            raise ValueError("digits must be a digit string of the three scripts")
+        if lead and (sum(lead) != len(digits) or not {*lead} <= {1, 2, 3, 4}):
+            raise ValueError(f"lead {lead} is no grouping of {len(digits)} digits")
         self.digits = digits
         self.prefix = prefix
         self.lead = lead
         self._same_as_lead = self._ranks_read_like_lead() if lead else []
 
     def _say(self, sizes) -> str:
-        words = grouped_digit_words(self.digits, list(sizes))
+        words = _grouping_words(self.digits, sizes)
         return f"{self.prefix} {words}" if self.prefix else words
 
     def _ranks_read_like_lead(self) -> list[int]:
         """Ranks, ascending, of the compositions that read like ``lead``."""
-        digits, n = self.digits, len(self.digits)
-        target, pos = 0, 0
+        n = len(self.digits)
+        zeros = _zero_bits(self.digits)
+        starts, pos = {}, 0  # size -> bits where a ``lead`` group of it starts
         for size in self.lead:
-            target |= _word_ends(digits[pos:pos + size]) << pos
+            starts[size] = starts.get(size, 0) | 1 << pos
             pos += size
+        target = 0  # bits where a word of the ``lead`` reading ends
+        for size, at in starts.items():
+            for j, ends in enumerate(_word_ends(zeros, size)):
+                target |= (ends & at) << j
+        # fits[size]: bits where a group of ``size`` ends its words as
+        # ``target`` does, within the digits
+        fits = {}
+        for size in (3, 2):
+            fit = (1 << max(n - size + 1, 0)) - 1
+            for j, ends in enumerate(_word_ends(zeros, size)):
+                fit &= ~(ends ^ (target >> j))
+            fits[size] = fit
+        # counts[m + 2] = c(m), from c(-2): a 2 at ``pos`` skips the c(n-pos-3)
+        # compositions that put a 3 there
+        counts = [0, 0, 1]
+        for _ in range(n):
+            counts.append(counts[-2] + counts[-3])
         ranks = []
         stack = [(0, 0)]  # (position, rank of the first composition from here)
         while stack:
@@ -220,11 +250,10 @@ class GroupedReadings:
             if pos == n:
                 ranks.append(rank)
                 continue
-            for size, skip in ((3, 0), (2, composition_count(n - pos - 3))):
-                group = digits[pos:pos + size]
-                if (len(group) == size
-                        and (target >> pos) & ((1 << size) - 1) == _word_ends(group)):
-                    stack.append((pos + size, rank + skip))
+            if fits[3] >> pos & 1:
+                stack.append((pos + 3, rank))
+            if fits[2] >> pos & 1:
+                stack.append((pos + 2, rank + counts[n - pos - 1]))
         return sorted(ranks)
 
     def __len__(self) -> int:

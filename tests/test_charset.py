@@ -12,6 +12,7 @@ except ImportError:  # Python 3.10; importing ``sre_parse`` warns from 3.11 on
 
 from persian_norm import PipelineConfig, normalize_general
 from persian_norm.charset import (
+    ENTITY_DEPTH,
     _EMOJI_PAT,
     _EMOJI_RANGES,
     _changed_class,
@@ -162,9 +163,11 @@ _FOLD_PASSES = [
 
 def _sequential_general(text, enabled):
     """normalize_general as the passes one after the other: entity
-    decoding, one alternation sub per fold table, then emoji removal."""
+    decoding ``ENTITY_DEPTH`` times, one alternation sub per fold table,
+    then emoji removal."""
     if "decode_markup_entities" in enabled:
-        text = html.unescape(text)
+        for _ in range(ENTITY_DEPTH):
+            text = html.unescape(text)
     for name, tbl, pattern in _FOLD_PASSES:
         if name in enabled:
             text = pattern.sub(lambda m: tbl[m.group(0)], text)
@@ -179,7 +182,7 @@ def _fold_fuzz_lines(n, seed=0):
         for surface, replacement in tbl.items():
             chars.update(surface + replacement)
     pieces = sorted(chars) + [
-        "صلّـے", "صلـے", "&amp;", "&lt", "➀", "👨\u200d👩\u200d👧", "😀\u200d",
+        "صلّـے", "صلـے", "&amp;", "&lt", "&amp;lt;", "➀", "👨\u200d👩\u200d👧", "😀\u200d",
         "\ufe0f", "←", "\u218f", " ", "  ", "a", "ب",
     ] * 3
     rng = random.Random(seed)

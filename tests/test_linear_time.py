@@ -189,6 +189,13 @@ def test_unfinished_ligature_run_general():
     assert growth < GROWTH_BOUND
 
 
+def test_nested_escapes_general():
+    # each level of escaping is one more pass of the entity decoding
+    growth = _growth(normalize_general, "&" + "amp;" * 20000 + "lt;",
+                     "&" + "amp;" * 40000 + "lt;", calls=5)
+    assert growth < GROWTH_BOUND
+
+
 def test_zwj_joined_emoji_run_general():
     # the whole run is one emoji sequence for the emoji pattern
     growth = _growth(normalize_general, _joined_emoji(10000),

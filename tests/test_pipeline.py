@@ -10,6 +10,7 @@ from persian_norm import (
     normalize_general,
     normalize_speech,
 )
+from persian_norm.charset import ENTITY_DEPTH
 from persian_norm.pipeline import ENUMERATION_CAP, PASS_NAMES, _assemble
 
 
@@ -36,16 +37,25 @@ def test_general_idempotent():
 
 
 # an entity is decoded before the fold, which then maps what it decodes to;
-# but one level of escaping is undone per run, so a second run decodes a
-# doubly escaped entity again (ROADMAP direction 1)
-@pytest.mark.parametrize("text", [
-    pytest.param("&amp;lt;", marks=pytest.mark.xfail(
-        strict=True, reason="one level of escaping undone per run")),
-    "&hellip;", "&ndash;",
-])
+# every level of escaping is undone, so a second run finds no entity left
+@pytest.mark.parametrize("text", ["&amp;lt;", "&amp;amp;lt;", "&hellip;", "&ndash;"])
 def test_general_idempotent_on_entities(text):
     once = normalize_general(text)
     assert normalize_general(once) == once
+
+
+# an escaped numeric reference is decoded before the fold makes its digits
+# Persian, which would leave ``&#۴۹;``
+@pytest.mark.parametrize("text, expected", [
+    ("&amp;lt;", "<"),
+    ("&amp;amp;lt;", "<"),
+    ("&amp;#49;", "۱"),
+    ("&" + "amp;" * (ENTITY_DEPTH - 1) + "lt;", "<"),
+    # a level past ``ENTITY_DEPTH`` is left for the next run
+    ("&" + "amp;" * ENTITY_DEPTH + "lt;", "&lt;"),
+])
+def test_general_decodes_every_level_of_escaping(text, expected):
+    assert normalize_general(text) == expected
 
 
 # the fold reads what an entity decodes to: the digits of a numeric

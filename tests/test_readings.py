@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -20,7 +22,7 @@ from persian_norm import (
     validate_national_id,
     validate_sheba,
 )
-from persian_norm import verbalize
+from persian_norm import numwords, pipeline, verbalize
 from persian_norm.pipeline import _assemble, span_variants
 from persian_norm.verbalize import (
     READINGS,
@@ -271,23 +273,106 @@ def test_enumeration_is_the_product_of_every_reading():
     assert enumerate_verbalizations(line, config) == expected
 
 
+def _seeded_lines(n, seed=8):
+    rng = random.Random(seed)
+    return [f"کارت {_card(rng)} و شبا {_sheba(rng)} "
+            f"و موبایل {_mobile(rng)} و ساعت 11:35 و تاریخ 1400/07/25"
+            for _ in range(n)]
+
+
+def _drawn_like_choose(line, seed):
+    """``normalize_speech`` of ``line`` under ``seeded(seed)`` as the
+    policy's draws from a fresh ``random.Random(seed)``."""
+    config = PipelineConfig(policy=SelectionPolicy.seeded(seed))
+    text = normalize_general(line, config)
+    spans = scan(text)
+    draws = random.Random(seed)
+    return _assemble(text, spans, [
+        config.policy.choose(span_variants(span), draws) for span in spans])
+
+
 def test_seeded_speech_draws_like_choose():
-    rng = random.Random(8)
-    lines = []
-    for _ in range(12):
-        lines.append(f"کارت {_card(rng)} و شبا {_sheba(rng)} "
-                     f"و موبایل {_mobile(rng)} و ساعت 11:35")
+    lines = _seeded_lines(12)
     for seed in range(5):
         config = PipelineConfig(policy=SelectionPolicy.seeded(seed))
         for line in lines:
-            text = normalize_general(line, config)
-            spans = scan(text)
-            draws = random.Random(seed)
-            expected = _assemble(text, spans, [
-                config.policy.choose(span_variants(span), draws)
-                for span in spans
-            ])
-            assert normalize_speech(line, config) == expected
+            assert normalize_speech(line, config) == _drawn_like_choose(line, seed)
+
+
+# 1, 1.0 and True are equal and seed one state; 2**80 and 2.0**80 are equal
+# but seed two, as an int seeds by its value and a float by its hash
+@pytest.mark.parametrize("seed", [
+    0, -3, 2**80, 2.0**80, 1, 1.0, True, "بذر", b"\x00seed", bytearray(b"\x00seed"),
+], ids=repr)
+def test_seeded_speech_draws_like_a_fresh_generator(seed):
+    config = PipelineConfig(policy=SelectionPolicy.seeded(seed))
+    for line in _seeded_lines(4):
+        assert normalize_speech(line, config) == _drawn_like_choose(line, seed)
+
+
+class _IntSeed(int):
+    pass
+
+
+def test_equal_seeds_of_two_types_keep_their_own_states():
+    # an int subclass seeds by its value, a float by its hash: a cache that
+    # took the two equal seeds for one key would give the second the
+    # first's draws
+    pipeline._seed_state.cache_clear()
+    line = _seeded_lines(1)[0]
+    for seed in (_IntSeed(2**80), 2.0**80, 2**80):
+        assert normalize_speech(line, PipelineConfig(policy=SelectionPolicy.seeded(seed))) \
+            == _drawn_like_choose(line, seed)
+
+
+def test_two_seeds_alternating_draw_as_each_alone():
+    lines = _seeded_lines(6)
+    configs = {seed: PipelineConfig(policy=SelectionPolicy.seeded(seed))
+               for seed in (3, "سه")}
+    for line in lines:
+        for seed, config in configs.items():
+            assert normalize_speech(line, config) == _drawn_like_choose(line, seed)
+
+
+def test_threads_with_their_own_seeds_draw_as_sequential_runs():
+    lines = _seeded_lines(20)
+    seeds = (1, 2, "یک", b"two")  # more threads than the two cores of CI
+    configs = [PipelineConfig(policy=SelectionPolicy.seeded(s)) for s in seeds]
+    expected = [[normalize_speech(line, c) for line in lines] for c in configs]
+    results = [None] * len(configs)
+
+    def run(k):
+        results[k] = [normalize_speech(line, configs[k]) for line in lines * 5]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(configs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [e * 5 for e in expected]
+
+
+def test_reading_caches_are_bounded():
+    for cached in (pipeline._seed_state, numwords._group_words,
+                   numwords.ordinal_words, numwords.cardinal_words):
+        assert cached.cache_parameters()["maxsize"] is not None, cached
+
+
+def test_a_family_of_non_digits_raises_value_error():
+    for digits in ("12a4", "", "12 4", "1_23", "+123", "०५٢٣"):
+        with pytest.raises(ValueError):
+            GroupedReadings(digits)
+    for digits, lead in (("1234", (2,)), ("12345", (5,)), ("1234", (0, 2, 2))):
+        with pytest.raises(ValueError):
+            GroupedReadings(digits, lead=lead)
+    # a lead on a run shorter than a group of 3
+    assert list(GroupedReadings("7", lead=(1,))) == ["هفت"]
 
 
 def test_enumeration_cap_checked_before_building():

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from persian_norm import PipelineConfig, SelectionPolicy, VerbLexicon
+from persian_norm import PipelineConfig, SelectionPolicy, VerbLexicon, normalize_speech
 from persian_norm.pipeline import PASS_NAMES
 from persian_norm.scanner import Calendar, CalendarDate
 
@@ -183,6 +183,27 @@ def test_policy_index_must_be_an_int(index):
         SelectionPolicy(index=index)
     with pytest.raises(TypeError, match="option index must be an int"):
         SelectionPolicy.fixed(index)
+
+
+@pytest.mark.parametrize("seed", [[1], {}, (1,), 1j, frozenset()],
+                         ids=repr)
+def test_policy_seed_must_be_a_type_random_takes(seed):
+    with pytest.raises(TypeError, match="seed must be an int, float, str, bytes"):
+        SelectionPolicy.seeded(seed)
+    with pytest.raises(TypeError, match="seed must be an int, float, str, bytes"):
+        SelectionPolicy.seeded(1)._replace(seed=seed)
+
+
+def test_bytearray_seed_is_kept_as_bytes():
+    seed = bytearray(b"seed")
+    policy = SelectionPolicy.seeded(seed)
+    assert policy.seed == b"seed" and type(policy.seed) is bytes
+    assert hash(PipelineConfig(policy=policy)) == \
+        hash(PipelineConfig(policy=SelectionPolicy.seeded(b"seed")))
+    config = PipelineConfig(policy=policy)
+    before = normalize_speech("کارت 6104337852441441", config)
+    seed[:] = b"other"
+    assert normalize_speech("کارت 6104337852441441", config) == before
 
 
 def test_replace_checks_the_fields():
