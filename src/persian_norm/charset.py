@@ -3,9 +3,10 @@
 Five passes, named by ``pipeline.PASS_NAMES``, run in this order by
 ``pipeline.normalize_general``: markup-entity decoding, letter variant
 folding, digit variant folding, punctuation normalization and emoji
-removal.  Each is a total function over text, and idempotent: entity
-decoding undoes every level of escaping, up to ``ENTITY_DEPTH`` of them, so
-``&amp;lt;`` decodes to ``<``.
+removal.  Each is a total function over text.  Each is idempotent but
+entity decoding, which undoes up to ``ENTITY_DEPTH`` levels of escaping
+(``&amp;lt;`` decodes to ``<``): a text escaped more times than that keeps
+a level, which a second run decodes.
 The inventories live in the tab-separated files under
 ``persian_norm/data``.
 

@@ -116,8 +116,7 @@ class SemioticSpan(NamedTuple):
     data: dict
 
 
-def infer_calendar(year: int, default: Calendar = Calendar.SOLAR_HIJRI,
-                   lunar_context: bool = False) -> Calendar:
+def infer_calendar(year: int, lunar_context: bool = False) -> Calendar:
     """Guess the calendar of a year per the documented thresholds."""
     if year < 1:
         raise ValueError(f"invalid year: {year}")
@@ -125,7 +124,7 @@ def infer_calendar(year: int, default: Calendar = Calendar.SOLAR_HIJRI,
         return Calendar.LUNAR_HIJRI
     if year >= 1700:
         return Calendar.GREGORIAN
-    return default
+    return Calendar.SOLAR_HIJRI
 
 
 _CUE_WORDS = frozenset(table("phone_cues"))
@@ -384,10 +383,10 @@ _ABBREV_EN_PAT = re.compile(
 )
 
 
-def _needs(*chars: str, run: int = 0) -> tuple:
-    """A row's ``needs``: the set of each of ``chars``, and ``run``, when
-    given, the least length of the digit run every match holds whole."""
-    return tuple(frozenset(c) for c in chars) + ((run,) if run else ())
+def _needs(*chars: str, run: int = 0) -> tuple[tuple, int]:
+    """A row's ``needs``: the set of each of ``chars``, and ``run``, the
+    least length of the digit run every match holds whole (0 for none)."""
+    return tuple(frozenset(c) for c in chars), run
 
 
 def _table_needs(tbl, chars: str | None = None) -> frozenset:
@@ -419,9 +418,9 @@ _NUMBER_PAT = re.compile(rf"{D}{D}*")
 # Every semiotic class in overlap-resolution order, with its rows.  A row
 # is (pattern, candidate, needs): ``candidate`` maps a match to ``(cls,
 # start, end, data)``, or to None when a check fails, and a None candidate
-# yields the whole match; every match holds a character of each set in
-# ``needs``, and, for a number in ``needs``, a whole maximal run of at
-# least that many digits, so a text lacking one skips it.
+# yields the whole match; ``needs`` is ``(sets, run)``: every match holds a
+# character of each of the ``sets`` and a whole maximal run of at least
+# ``run`` digits, so a text lacking one skips the row.
 # A candidate's span is its match's (``_url`` trims the end, but URL is
 # the first row), so ``_accepted`` probes a match's span before its check.
 # The row listed first wins an overlap, just as the class listed first
@@ -433,7 +432,7 @@ _NUMBER_PAT = re.compile(rf"{D}{D}*")
 _CLASSES = {
     "URL": [(_URL_PAT, _url, _needs(".:", _LATIN_LETTERS))],
     "EMAIL": [(_EMAIL_PAT, None, _needs("@"))],
-    "SHEBA": [(_SHEBA_PAT, _sheba, _needs("I", run=24))],
+    "SHEBA": [(_SHEBA_PAT, _sheba, _needs(run=24))],
     "DATE": [(_DATE_PAT, _date, _needs("/.-", DIGITS))],
     "TIME": [(_TIME_PAT, _time, _needs(":", DIGITS))],
     "PHONE": [(_DIGIT_RUN_PAT, _digit_run, _needs(run=8))],
@@ -470,55 +469,39 @@ def _whole_match(cls):
     return lambda m, text: (cls, m.start(), m.end(), {})
 
 
-def _rows() -> tuple[tuple, dict, tuple, list, list]:
+def _rows() -> tuple[tuple, dict, list, list]:
     """The distinct sets of characters in the rows' ``needs``; each of their
     characters -> the mask with bit ``i`` set for each set ``i`` that holds
-    it; each length of digit run up to the longest a row needs -> the mask
-    of the run lengths it meets, whose bits follow the sets'; every row of
-    ``_CLASSES`` in class order, its ``needs`` as such a mask; and the rows
-    of the classes up to ``_LAST_DOTTED``."""
-    needs = [need for rows in _CLASSES.values() for *_, row_needs in rows
-             for need in row_needs]
-    runs = sorted({need for need in needs if isinstance(need, int)})
+    it; every row of ``_CLASSES`` in class order, as ``(pattern, candidate,
+    mask, run)`` with its sets as such a mask; and the rows of the classes
+    up to ``_LAST_DOTTED``.  Raises ValueError unless every digit shares one
+    mask and every Latin letter one, as a run's first character stands for
+    the whole run."""
     need_sets = tuple(dict.fromkeys(
-        need for need in needs if not isinstance(need, int)))
-    bit = {need: 1 << i for i, need in enumerate(need_sets + tuple(runs))}
+        chars for rows in _CLASSES.values() for *_, (sets, _) in rows
+        for chars in sets))
+    bit = {chars: 1 << i for i, chars in enumerate(need_sets)}
     bits = {}
     for chars in need_sets:
         for c in chars:
             bits[c] = bits.get(c, 0) | bit[chars]
-    run_bits = tuple(sum(bit[run] for run in runs if run <= length)
-                     for length in range(runs[-1] + 1))
+    for run_chars in (DIGITS, _LATIN_LETTERS):
+        if len({bits.get(c) for c in run_chars}) != 1:
+            raise ValueError(
+                f"the characters {run_chars!r} do not all share one need mask")
     every, split = [], []
     for cls, rows in zip(SemioticClass, _CLASSES.values()):
-        for pattern, candidate, row_needs in rows:
-            mask = sum(bit[need] for need in set(row_needs))
-            every.append((pattern, candidate or _whole_match(cls), mask))
+        for pattern, candidate, (sets, run) in rows:
+            mask = sum(bit[chars] for chars in set(sets))
+            every.append((pattern, candidate or _whole_match(cls), mask, run))
         if cls.name == _LAST_DOTTED:
             split = every.copy()
-    return need_sets, bits, run_bits, every, split
+    return need_sets, bits, every, split
 
 
-_NEED_SETS, _NEED_BITS, _RUN_BITS, _DETECTORS, _SPLIT_ROWS = _rows()
-
-
-def _odd_letters(bits: dict) -> tuple[tuple[str, int], ...]:
-    """Each Latin letter whose mask in ``bits`` differs from the bits every
-    letter shares, with its mask.  A letter run's first letter gives the
-    shared bits, and these letters their own where the text holds them.
-    Raises ValueError unless every digit has the same mask, as a digit
-    run's first digit gives the bits of the whole run."""
-    if len({bits[c] for c in DIGITS}) != 1:
-        raise ValueError("the digits do not all share one need mask")
-    common = -1
-    for c in _LATIN_LETTERS:
-        common &= bits[c]
-    return tuple((c, bits[c]) for c in _LATIN_LETTERS if bits[c] != common)
-
-
-_ODD_LETTERS = _odd_letters(_NEED_BITS)
-# the shortest digit run a row needs: the shorter lengths meet none
-_SHORTEST_RUN = _RUN_BITS.count(0)
+_NEED_SETS, _NEED_BITS, _DETECTORS, _SPLIT_ROWS = _rows()
+# the shortest digit run a row needs: the shorter runs meet none
+_SHORTEST_RUN = min(run for *_, run in _DETECTORS if run)
 
 # One pass finds which of the rows' characters a text holds: each maximal
 # run of digits and each of Latin letters is one token, and every other
@@ -534,28 +517,26 @@ _first = itemgetter(0)
 
 
 def _accepted(text: str, tokens, rows) -> list[tuple]:
-    """Run, in order, the ``rows`` whose ``needs`` the ``tokens`` of
-    ``text`` (``_TRIGGER.findall(text)``) meet, and accept each candidate
+    """Run, in order, each of the ``rows`` whose needs ``text`` meets: its
+    ``tokens`` (``_TRIGGER.findall(text)``) hold a character of each of the
+    row's sets and a digit run at least ``run`` long.  Accept each candidate
     ``(cls, start, end, data)`` that overlaps none accepted before; return
     the accepted ones in that order.  A match whose span overlaps one
     accepted costs one probe of the coverage mask: its row's check is not
     run."""
-    met = 0  # the needs that ``tokens`` meet
+    met = 0  # the sets whose characters ``tokens`` hold
     for c in set(map(_first, tokens)):
         met |= _NEED_BITS[c]
-    for letter, bits in _ODD_LETTERS:
-        if letter in text:
-            met |= bits
     # the longest digit run, read only when a token is long enough: of the
     # tokens of two characters or more, only digit runs are decimal
+    longest = 0
     if max(map(len, tokens), default=0) >= _SHORTEST_RUN:
         longest = max(map(len, filter(str.isdecimal, tokens)), default=0)
-        met |= _RUN_BITS[min(longest, len(_RUN_BITS) - 1)]
     covered = bytearray(len(text))
     probe = covered.find
     accepted = []
-    for pattern, candidate, needs in rows:
-        if needs & met == needs:  # the text meets every need of the row
+    for pattern, candidate, needs, run in rows:
+        if needs & met == needs and run <= longest:
             for m in pattern.finditer(text):
                 start, end = m.span()
                 if probe(1, start, end) == -1:
@@ -595,7 +576,7 @@ class _Found(list):
 
 
 # where DATE's row is among the ``_SPLIT_ROWS``
-_DATE_ROW = [pattern for pattern, _, _ in _SPLIT_ROWS].index(_DATE_PAT)
+_DATE_ROW = [pattern for pattern, *_ in _SPLIT_ROWS].index(_DATE_PAT)
 
 
 def protect_non_terminal_dots(text: str) -> list[tuple[int, int]]:

@@ -44,7 +44,6 @@ from persian_norm.scanner import (
     _FRACTION_PAT,
     _LAST_DOTTED,
     _LONG_NUMBER_PAT,
-    _NEED_BITS,
     _NEED_SETS,
     _NUMBER_PAT,
     _SPLIT_ROWS,
@@ -55,8 +54,9 @@ from persian_norm.scanner import (
     _accepted,
     _currency,
     _dotless,
-    _odd_letters,
+    _needs,
     _one_character,
+    _rows,
     _table_needs,
     infer_calendar,
 )
@@ -184,7 +184,6 @@ def test_infer_calendar_thresholds():
     assert infer_calendar(1397) is Calendar.SOLAR_HIJRI
     assert infer_calendar(1443) is Calendar.SOLAR_HIJRI
     assert infer_calendar(1443, lunar_context=True) is Calendar.LUNAR_HIJRI
-    assert infer_calendar(1443, default=Calendar.LUNAR_HIJRI) is Calendar.LUNAR_HIJRI
 
 
 def test_infer_calendar_monotone():
@@ -692,8 +691,8 @@ class _OneMatchPattern:
 
 def one_match_rows(candidates):
     """One row per candidate, in order: a match of the candidate's span whose
-    check gives the candidate, run whatever the text holds (mask 0)."""
-    return [(_OneMatchPattern(c[1], c[2]), lambda m, text, c=c: c, 0)
+    check gives the candidate, run whatever the text holds (mask 0, run 0)."""
+    return [(_OneMatchPattern(c[1], c[2]), lambda m, text, c=c: c, 0, 0)
             for c in candidates]
 
 
@@ -713,7 +712,7 @@ def test_a_trimmed_candidate_covers_only_its_own_span():
     # the first row's check may end its candidate before its match ends, as
     # ``_url`` trims trailing marks; the trimmed characters stay free
     url = (SemioticClass.URL, 0, 5, {})
-    rows = [(_OneMatchPattern(0, 7), lambda m, text: url, 0),
+    rows = [(_OneMatchPattern(0, 7), lambda m, text: url, 0, 0),
             *one_match_rows([(SemioticClass.SYMBOL, 5, 6, {})])]
     assert _accepted("a.com.!", set(), rows) == [url, (SemioticClass.SYMBOL, 5, 6, {})]
 
@@ -732,7 +731,7 @@ def test_only_the_first_row_changes_a_match_span():
     assert _DETECTORS[0][0] is _URL_PAT
     trimmed = 0
     for text in _scanned_texts():
-        for i, (pattern, candidate, _) in enumerate(_DETECTORS):
+        for i, (pattern, candidate, *_) in enumerate(_DETECTORS):
             for m in pattern.finditer(text):
                 c = candidate(m, text)
                 if c is None:
@@ -758,8 +757,8 @@ def test_a_losing_match_runs_no_check(monkeypatch):
         return check
 
     monkeypatch.setattr(scanner, "_DETECTORS", [
-        (pattern, recording(candidate), needs)
-        for pattern, candidate, needs in _DETECTORS])
+        (pattern, recording(candidate), *gate)
+        for pattern, candidate, *gate in _DETECTORS])
     for text in _scanned_texts():
         calls.clear()
         spans = scan(text)
@@ -817,7 +816,7 @@ def test_every_match_holds_its_row_characters():
     texts += [normalize_general(t) for t in texts]
     texts += _fuzz_lines(5000)
     for text in texts:
-        for pattern, _, needs in _DETECTORS:
+        for pattern, _, needs, _ in _DETECTORS:
             for m in pattern.finditer(text):
                 for chars in _needs_of(needs):
                     assert not chars.isdisjoint(m.group(0)), \
@@ -825,8 +824,9 @@ def test_every_match_holds_its_row_characters():
 
 
 def _reference_needs():
-    """Each row's ``needs`` as the tuple of sets ``_CLASSES`` gives it, for
-    every row and for the split rows, as ``_rows`` kept them before masks."""
+    """Each row's ``needs`` as the ``(sets, run)`` ``_CLASSES`` gives it,
+    for every row and for the split rows, as ``_rows`` kept them before
+    masks."""
     every, split = [], []
     for name, rows in _CLASSES.items():
         every += [needs for _, _, needs in rows]
@@ -836,28 +836,21 @@ def _reference_needs():
 
 
 def _reference_rows_run(text, row_needs):
-    """The rows the per-row ``needs`` loop ran: those whose every set the
-    characters of ``text`` meet, and whose run length, if any, a digit run
-    of ``text`` reaches."""
+    """The rows a check of each row's ``needs`` runs: those whose every set
+    the characters of ``text`` meet, and whose run length, if any, a digit
+    run of ``text`` reaches."""
     present = set(text)
     longest = max(map(len, re.findall(rf"{D}+", text)), default=0)
-    run = []
-    for i, needs in enumerate(row_needs):
-        for need in needs:
-            if (longest < need if isinstance(need, int)
-                    else present.isdisjoint(need)):
-                break
-        else:
-            run.append(i)
-    return run
+    return [i for i, (sets, run) in enumerate(row_needs)
+            if longest >= run
+            and not any(present.isdisjoint(chars) for chars in sets)]
 
 
 def _run_lengths():
     """Each length of digit run a row of ``_CLASSES`` needs, with its row's
     pattern."""
-    return [(need, pattern) for rows in _CLASSES.values()
-            for pattern, _, needs in rows for need in needs
-            if isinstance(need, int)]
+    return [(run, pattern) for rows in _CLASSES.values()
+            for pattern, _, (_, run) in rows if run]
 
 
 # digit runs just shorter than, as long as and just longer than each length
@@ -878,15 +871,14 @@ class _RecordingPattern:
 
 def test_rows_run_by_mask_are_those_the_needs_loop_runs():
     every, split = _reference_needs()
-    assert set(_NEED_SETS) == {chars for needs in every for chars in needs
-                               if not isinstance(chars, int)}
+    assert set(_NEED_SETS) == {chars for sets, _ in every for chars in sets}
     rng = random.Random(0)
     sorted_sets = [sorted(chars) for chars in _NEED_SETS]
     for rows, row_needs in ((_DETECTORS, every), (_SPLIT_ROWS, split)):
         assert len(rows) == len(row_needs)
         ran = []
-        recording = [(_RecordingPattern(i, ran), candidate, mask)
-                     for i, (_, candidate, mask) in enumerate(rows)]
+        recording = [(_RecordingPattern(i, ran), candidate, mask, run)
+                     for i, (_, candidate, mask, run) in enumerate(rows)]
         for subset in range(1 << len(_NEED_SETS)):
             chosen = [i for i in range(len(_NEED_SETS)) if subset >> i & 1]
             # each chosen set whole, and one character of each, written in
@@ -905,13 +897,15 @@ def test_rows_run_by_mask_are_those_the_needs_loop_runs():
                     (subset, text)
 
 
-def test_every_digit_shares_one_need_mask():
-    # a digit run's first digit gives the bits of the whole run, and a
-    # Latin-letter run's first letter those of every letter but ``I``
-    assert _odd_letters(_NEED_BITS) == (("I", _NEED_BITS["I"]),)
-    for digit in ("5", "۵", "٥"):
-        with pytest.raises(ValueError, match="digits"):
-            _odd_letters({**_NEED_BITS, digit: _NEED_BITS[digit] | 1})
+def test_rows_raise_unless_each_run_shares_one_need_mask(monkeypatch):
+    # a digit run's or a Latin-letter run's first character stands for the
+    # whole run, so a row that needs one digit or one letter alone raises
+    for c in ("5", "۵", "٥", "I", "z"):
+        row = (re.compile(re.escape(c)), None, _needs(c))
+        monkeypatch.setattr(scanner, "_CLASSES",
+                            {**_CLASSES, "SYMBOL": [*_CLASSES["SYMBOL"], row]})
+        with pytest.raises(ValueError, match="share one need mask"):
+            _rows()
 
 
 def test_trigger_tokens_are_runs_and_single_characters():
@@ -968,7 +962,7 @@ def test_rows_open_on_a_character_set():
     # branches that each open on a literal is tried by ``re`` only at the
     # characters it can start on; the Persian abbreviation row is left as
     # it is (README, scanner section)
-    for pattern, _, _ in _DETECTORS:
+    for pattern, *_ in _DETECTORS:
         if pattern is _ABBREV_FA_PAT:
             continue
         op, av = _first_item(pattern)
@@ -1218,7 +1212,7 @@ def _reference_digit_run(m, text):
 _REFERENCE_ROWS = [
     (_REFERENCE_DIGIT_RUN_PAT, _reference_digit_run)
     if pattern is _DIGIT_RUN_PAT else (pattern, candidate)
-    for pattern, candidate, _ in _DETECTORS if pattern is not _NUMBER_PAT
+    for pattern, candidate, *_ in _DETECTORS if pattern is not _NUMBER_PAT
 ]
 
 
