@@ -1,6 +1,7 @@
 """Reading of the bundled mapping tables and rule files.
 
-All tables are UTF-8 tab-separated resource files with "#" comment lines.
+All tables are UTF-8 tab-separated resource files.  A comment line is a
+lone "#" or opens on "# ", so a row may map the "#" sign itself.
 Each is read once, into a plain dict, when the module that uses it is
 imported; that module also compiles, once, any ``alternation`` over a
 table's surfaces.  Nothing changes a table after it is read, so the tables
@@ -21,10 +22,11 @@ def _data_root():
 
 
 def rows(relpath: str) -> list[str]:
-    """The lines of a bundled file, without blank and "#" comment lines."""
+    """The lines of a bundled file, without blank and comment lines."""
     with open(os.path.join(_data_root(), relpath), encoding="utf-8") as fh:
         text = fh.read()
-    return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    return [ln for ln in text.splitlines()
+            if ln and ln != "#" and not ln.startswith("# ")]
 
 
 def table(*names: str) -> dict[str, str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
+from itertools import permutations
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -371,9 +372,16 @@ def _bare_currency(m, text):
 
 
 _FA = r"؀-ۿ"
-_ABBREV_FA_PAT = re.compile(
-    rf"(?<![{_FA}\w])(?:{alternation(ABBREV_FA).pattern})(?![{_FA}\w])"
-)
+
+
+def _persian_words(surfaces) -> re.Pattern:
+    """Each of ``surfaces``, where neither a Persian nor a word character
+    stands right before it or right after it."""
+    return re.compile(
+        rf"(?<![{_FA}\w])(?:{alternation(surfaces).pattern})(?![{_FA}\w])")
+
+
+_ABBREV_FA_PAT = _persian_words(ABBREV_FA)
 
 # a letter not preceded by a word character: the ``\b`` of a word start
 _ABBREV_EN_PAT = re.compile(
@@ -389,17 +397,10 @@ def _needs(*chars: str, run: int = 0) -> tuple[tuple, int]:
     return tuple(frozenset(c) for c in chars), run
 
 
-def _table_needs(tbl, chars: str | None = None) -> frozenset:
-    """The characters one of which every match of a table's row holds:
-    ``chars`` when given, else the first character of each surface.  Raises
-    ValueError if a surface holds none of them."""
-    needs = frozenset(chars if chars is not None else (s[0] for s in tbl))
-    for surface in tbl:
-        if needs.isdisjoint(surface):
-            raise ValueError(
-                f"table surface {surface!r} holds none of {''.join(sorted(needs))!r}"
-            )
-    return needs
+def _table_needs(tbl) -> frozenset:
+    """The characters one of which every match of a table's row holds: the
+    first character of each surface."""
+    return frozenset(s[0] for s in tbl)
 
 
 def _dotless(tbl):
@@ -409,6 +410,64 @@ def _dotless(tbl):
         if "." in surface:
             raise ValueError(f"table surface {surface!r} holds a dot")
     return tbl
+
+
+class _FromDots:
+    """A row's pattern that yields the matches of ``matcher.finditer`` that
+    hold a dot, found from their first dots.  ``anchor`` matches a dot where
+    a head, the text of a surface before its first dot, ends after a word
+    start; its one group that takes part spans that head, so the dot
+    implies one start, where ``matcher`` is tried.  ``re`` skips from dot
+    to dot quickly, and tries ``matcher``, which opens on a lookbehind, at
+    every character."""
+
+    def __init__(self, anchor, matcher):
+        self.anchor, self.matcher = anchor, matcher
+
+    def finditer(self, text):
+        match = self.matcher.match
+        end = 0  # ``finditer`` goes on from a match's end
+        for a in self.anchor.finditer(text):
+            start = a.start(a.lastindex)
+            if start >= end:
+                m = match(text, start)
+                if m is not None:
+                    end = m.end()
+                    yield m
+
+
+def _abbrev_fa_rows(tbl) -> list[tuple]:
+    """ABBREV_FA's rows: a ``_FromDots`` of the dotted surfaces of ``tbl``,
+    which needs a dot, and the others, which open on "(", as one
+    alternation that opens on it and needs it.  Where no match of the one
+    overlaps a match of the other, as on the bundled table, the two find
+    ``_persian_words(tbl)``'s matches between them.  Raises ValueError if a
+    surface holds no dot and does not open on "(", or if one head ends
+    another, so that a dot would imply two starts."""
+    heads, bracketed = {}, []
+    for surface in tbl:
+        head, dot, _ = surface.partition(".")
+        if dot:
+            heads.setdefault(len(head), set()).add(head)
+        elif surface[0] == "(":
+            bracketed.append(surface[1:])
+        else:
+            raise ValueError(
+                f"table surface {surface!r} holds no dot and does not open on '('")
+    for head, other in permutations(set().union(*heads.values()), 2):
+        if other.endswith(head):
+            raise ValueError(f"table head {head!r} ends the head {other!r}")
+    rows = []
+    if heads:  # one lookbehind per head length: a lookbehind has one width
+        anchor = re.compile(r"\.(?:" + "|".join(
+            rf"(?<=(?<![{_FA}\w])({alternation(same).pattern})\.)"
+            for same in heads.values()) + ")")
+        rows.append((_FromDots(anchor, _persian_words(tbl)), None, _needs(".")))
+    if bracketed:
+        rows.append((re.compile(
+            rf"\((?<![{_FA}\w].)(?:{alternation(bracketed).pattern})(?![{_FA}\w])"),
+            None, _needs("(")))
+    return rows
 
 
 # a maximal digit run: a plain number wherever no row listed before claims
@@ -428,7 +487,8 @@ _NUMBER_PAT = re.compile(rf"{D}{D}*")
 # save that the digit-run row also yields CARD_NUMBER and NATIONAL_ID, the
 # next two classes; and of a class's two rows, only a bare currency sign can
 # overlap an amount, whose row comes first (no math-symbol surface holds a
-# digit or "/", so none overlaps a fraction).
+# digit or "/", so none overlaps a fraction, and no two ABBREV_FA matches
+# overlap).
 _CLASSES = {
     "URL": [(_URL_PAT, _url, _needs(".:", _LATIN_LETTERS))],
     "EMAIL": [(_EMAIL_PAT, None, _needs("@"))],
@@ -444,8 +504,7 @@ _CLASSES = {
         (_CURRENCY_PAT, _currency, _needs(_CURRENCY_CHARS, DIGITS)),
         (_CURRENCY_SYMBOL_PAT, _bare_currency, _needs(_CURRENCY_CHARS))],
     "ABBREV_EN": [(_ABBREV_EN_PAT, None, _needs(_LATIN_LETTERS))],
-    "ABBREV_FA": [
-        (_ABBREV_FA_PAT, None, _needs(_table_needs(ABBREV_FA, ".(")))],
+    "ABBREV_FA": _abbrev_fa_rows(ABBREV_FA),
     "MATH_SYMBOL": [
         (_FRACTION_PAT, _fraction, _needs("/", DIGITS)),
         (alternation(_dotless(MATH_SYMBOLS)), None,

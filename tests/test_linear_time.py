@@ -176,6 +176,20 @@ def test_run_growth(fn, shape, n):
     assert growth < GROWTH_BOUND
 
 
+# dots of Persian abbreviations, each text about 100 KB and 200 KB at twice
+# n: in "ر." and "هـ." each dot is an anchor whose abbreviation does not
+# match, in "ر.ک" every anchor but the first is guarded off, and in "ر.ک "
+# every anchor matches
+@pytest.mark.parametrize("fn", [normalize_speech, split_sentences],
+                         ids=["speech", "split"])
+@pytest.mark.parametrize("unit, n", [
+    ("ر.", 33_000), ("ر.ک", 20_000), ("ر.ک ", 17_000), ("هـ.", 20_000),
+], ids=["head_dot", "glued", "spaced", "two_letter_head_dot"])
+def test_dotted_abbreviation_growth(fn, unit, n):
+    growth = _growth(fn, unit * n, unit * (2 * n))
+    assert growth < GROWTH_BOUND
+
+
 def test_long_digit_run_scan():
     # the postfix currency amount was retried from every digit of the run
     growth = _growth(scan, _digit_run(4000), _digit_run(8000), calls=5)

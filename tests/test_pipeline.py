@@ -126,6 +126,16 @@ def test_speech_bare_currency_symbol():
     assert normalize_speech("فقط $ ماند") == "فقط دلار ماند"
 
 
+# the "#" rows of symbols.tsv and url_words_latin.tsv are data, not comments
+@pytest.mark.parametrize("text, spoken", [
+    ("کلید # را بزنید", "کلید مربع را بزنید"),
+    ("#5", "مربع پنج"),
+    ("www.site.com/#top", "www dot site dot com slash hash top"),
+])
+def test_speech_hash_sign(text, spoken):
+    assert normalize_speech(text) == spoken
+
+
 def test_speech_decimal():
     assert normalize_speech("عدد 3.14 است") == "عدد سه ممیز چهارده صدم است"
 

@@ -112,6 +112,22 @@ def test_table_keeps_file_order_across_files(tmp_path, monkeypatch):
     assert list(table("one", "two").items()) == [("b", "B"), ("a", ""), ("c", "C")]
 
 
+def test_a_row_that_maps_the_hash_sign_is_data(tmp_path, monkeypatch):
+    # a comment is a lone "#" or opens on "# "
+    assert table("symbols")["#"] == "مربع"
+    assert table("url_words_latin")["#"] == "hash"
+    _tables_in(tmp_path, monkeypatch, one="# note\n#\n#\tmark\n##\tx\n#y\n")
+    assert table("one") == {"#": "mark", "##": "x", "#y": ""}
+
+
+def test_bundled_lines_that_open_on_a_hash_are_comments_or_hash_rows():
+    for path in DATA.rglob("*"):
+        if path.is_file() and not path.is_relative_to(DATA / "fixtures"):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert [ln for ln in lines if ln.startswith("#")
+                    and ln != "#" and not ln.startswith(("# ", "#\t"))] == [], path
+
+
 def test_table_empty_surface_raises(tmp_path, monkeypatch):
     _tables_in(tmp_path, monkeypatch, one="a\tA\n\tB\n")
     with pytest.raises(ValueError, match="empty surface"):

@@ -15,11 +15,14 @@ except ImportError:  # Python 3.10; importing ``sre_parse`` warns from 3.11 on
 import persian_norm
 from persian_norm import (
     PhoneKind,
+    PipelineConfig,
     SemioticClass,
     classify_phone,
     normalize_general,
+    normalize_speech,
     scan,
     scanner,
+    split_sentences,
     validate_card,
     validate_national_id,
     validate_sheba,
@@ -27,6 +30,7 @@ from persian_norm import (
 from persian_norm.numwords import DIGITS
 from persian_norm.resources import alternation, rows
 from persian_norm.scanner import (
+    ABBREV_FA,
     Calendar,
     CalendarDate,
     CURRENCIES,
@@ -42,6 +46,7 @@ from persian_norm.scanner import (
     _DIGIT_RUN_PAT,
     _EMAIL_PAT,
     _FRACTION_PAT,
+    _FromDots,
     _LAST_DOTTED,
     _LONG_NUMBER_PAT,
     _NEED_SETS,
@@ -51,11 +56,13 @@ from persian_norm.scanner import (
     _TLD,
     _TRIGGER,
     _URL_PAT,
+    _abbrev_fa_rows,
     _accepted,
     _currency,
     _dotless,
     _needs,
     _one_character,
+    _persian_words,
     _rows,
     _table_needs,
     infer_calendar,
@@ -919,9 +926,11 @@ def test_digit_set_is_the_digit_class():
 
 
 def test_table_surface_without_row_characters_raises():
+    # an ABBREV_FA surface holds a dot or opens on "(", the characters its
+    # two rows need
     tbl = {"ر.ک": "رجوع کنید", "رک": "رک"}
     with pytest.raises(ValueError, match="رک"):
-        _table_needs(tbl, ".(")
+        _abbrev_fa_rows(tbl)
     assert _table_needs(tbl) == {"ر"}
 
 
@@ -960,17 +969,26 @@ def _first_item(pattern):
 def test_rows_open_on_a_character_set():
     # a pattern that opens on a literal, a class or an alternation of
     # branches that each open on a literal is tried by ``re`` only at the
-    # characters it can start on; the Persian abbreviation row is left as
-    # it is (README, scanner section)
+    # characters it can start on; the dotted Persian abbreviations' row
+    # scans a text with its anchor
     for pattern, *_ in _DETECTORS:
-        if pattern is _ABBREV_FA_PAT:
-            continue
+        if isinstance(pattern, _FromDots):
+            pattern = pattern.anchor
         op, av = _first_item(pattern)
         if op is sre_parse.BRANCH:
             assert all(branch and branch[0][0] is sre_parse.LITERAL
                        for branch in av[1]), pattern.pattern[:40]
         else:
             assert op in (sre_parse.LITERAL, sre_parse.IN), pattern.pattern[:40]
+
+
+def test_abbreviation_rows_open_on_one_literal():
+    # a dot and "(" are rare in text, and ``re`` skips to a literal first
+    # character quickly
+    assert _first_item(_DOTTED_ROW.anchor) == (sre_parse.LITERAL, ord("."))
+    assert _first_item(_BRACKETED_ROW) == (sre_parse.LITERAL, ord("("))
+    assert _DOTTED_ROW.matcher is _ABBREV_FA_PAT
+    assert not any(pattern is _ABBREV_FA_PAT for pattern, *_ in _DETECTORS)
 
 
 # the rows that open on a digit not preceded by one, each with a text it
@@ -1130,6 +1148,91 @@ def test_dotted_abbreviation_at_start_and_after_comma(abbrev, prefix):
         _spans(_REFERENCE_PATS[_ABBREV_EN_PAT], text)
 
 
+_DOTTED_ROW, _BRACKETED_ROW = [pattern for pattern, *_ in _CLASSES["ABBREV_FA"]]
+
+
+def _abbreviation_fuzz_pieces(tbl):
+    """Every surface of ``tbl``, each cut of it in two, the marks around a
+    surface, each first letter, and Persian and Latin letters, digits and
+    spaces that are not."""
+    pieces = [*tbl, ".", "(", ")", "ـ", "\u200c", "ا", *"سلموی"]
+    pieces += [cut for s in tbl for i in range(1, len(s)) for cut in (s[:i], s[i:])]
+    pieces += sorted({s[0] for s in tbl}) + list("aZx") + list("5۵٥") + [" "] * 4
+    return pieces
+
+
+def _assert_rows_find_the_matches(rows, reference, texts):
+    """``rows`` together find ``reference.finditer``'s spans on every text,
+    and no match of one row overlaps a match of another."""
+    for text in texts:
+        spans = sorted(m.span() for pattern in rows for m in pattern.finditer(text))
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:])), text
+        assert spans == _spans(reference, text), text
+
+
+def test_abbreviation_rows_find_the_abbreviation_matches():
+    texts = _fuzz_lines(100_000, seed=4, pieces=_abbreviation_fuzz_pieces(ABBREV_FA))
+    texts += _scanned_texts()
+    _assert_rows_find_the_matches([_DOTTED_ROW, _BRACKETED_ROW], _ABBREV_FA_PAT, texts)
+
+
+def test_dotted_abbreviations_with_heads_of_any_length():
+    # one lookbehind per head length: a head of three letters, or of none
+    for tbl in ({"ب.پ": "", "ثـ.ج": "", "چحخ.د": "", "(ذ)": ""}, {".ر": ""}):
+        rows = [pattern for pattern, *_ in _abbrev_fa_rows(tbl)]
+        texts = _fuzz_lines(20_000, seed=5, pieces=_abbreviation_fuzz_pieces(tbl))
+        _assert_rows_find_the_matches(rows, _persian_words(tbl), texts)
+
+
+@pytest.mark.parametrize("tbl, message", [
+    # a surface with no dot that does not open on "("
+    ({**ABBREV_FA, "ره)": ""}, "ره"),
+    # "ه" ends "اه": the dot of "اه.م" would imply two starts
+    ({**ABBREV_FA, "اه.م": ""}, "اه"),
+    ({"ر.ک": "", ".ک": ""}, "ر"),
+])
+def test_abbreviation_table_the_rows_cannot_read_raises(tbl, message):
+    with pytest.raises(ValueError, match=message):
+        _abbrev_fa_rows(tbl)
+
+
+def test_abbreviation_table_of_one_kind_of_surface_gives_one_row():
+    dotted = {s: r for s, r in ABBREV_FA.items() if "." in s}
+    [(pattern, *_)] = _abbrev_fa_rows(dotted)
+    assert isinstance(pattern, _FromDots)
+    [(pattern, *_)] = _abbrev_fa_rows({"(ره)": ""})
+    assert _first_item(pattern) == (sre_parse.LITERAL, ord("("))
+
+
+@pytest.mark.parametrize("surface", ["ر.ک", "هـ.ش", "ج.ا.ا", "ق.ظ", "(ره)"])
+def test_abbreviation_at_the_start_and_at_the_end_of_a_text(surface):
+    for text, start in ((f"{surface} آمد", 0), (f"آمد {surface}", 4),
+                        (surface, 0)):
+        assert [(s.start, s.cls, s.raw) for s in scan(text)] == \
+            [(start, SemioticClass.ABBREV_FA, surface)], text
+
+
+def test_abbreviations_are_whole_words():
+    assert classes("ر.ک ن.ک") == [(SemioticClass.ABBREV_FA, "ر.ک"),
+                                  (SemioticClass.ABBREV_FA, "ن.ک")]
+    assert classes("ر.کن.ک") == []
+    assert classes("گفت (ره)") == [(SemioticClass.ABBREV_FA, "(ره)")]
+    assert classes("علی(ره)") == []
+
+
+def test_a_dot_inside_a_match_starts_no_other():
+    # "ک.پ" starts at the end of "ر.ک", which ``finditer`` has passed
+    assert _spans(_DOTTED_ROW, "ر.ک.پ") == [(0, 3)] == _spans(_ABBREV_FA_PAT, "ر.ک.پ")
+
+
+def test_abbreviation_with_a_two_letter_head_is_split_and_read():
+    text = "در سال ۱۳۰۰ هـ.ش بود. او آمد."
+    assert split_sentences(text) == ["در سال ۱۳۰۰ هـ.ش بود.", "او آمد."]
+    config = PipelineConfig().disable("fold_punctuation")
+    assert normalize_speech(text, config) == \
+        "در سال هزار و سیصد هجری شمسی بود. او آمد."
+
+
 # a digit run is read as a phone only at 8 digits with a cue word within 20
 # characters of it, or at 11 digits with a mobile or area-code prefix
 @pytest.mark.parametrize("text", ["تلفن 22334455", "22334455 تلفن"])
@@ -1208,11 +1311,15 @@ def _reference_digit_run(m, text):
 
 
 # the reference reads plain numbers through ``_reference_digit_run``, not
-# through the PLAIN_NUMBER row it checks
+# through the PLAIN_NUMBER row it checks, and Persian abbreviations through
+# ``_ABBREV_FA_PAT``, not through the two rows that find its matches
+_REFERENCE_PATS_OF_ROWS = {
+    _DIGIT_RUN_PAT: _REFERENCE_DIGIT_RUN_PAT, _DOTTED_ROW: _ABBREV_FA_PAT}
 _REFERENCE_ROWS = [
-    (_REFERENCE_DIGIT_RUN_PAT, _reference_digit_run)
-    if pattern is _DIGIT_RUN_PAT else (pattern, candidate)
-    for pattern, candidate, *_ in _DETECTORS if pattern is not _NUMBER_PAT
+    (_REFERENCE_PATS_OF_ROWS.get(pattern, pattern),
+     _reference_digit_run if pattern is _DIGIT_RUN_PAT else candidate)
+    for pattern, candidate, *_ in _DETECTORS
+    if pattern is not _NUMBER_PAT and pattern is not _BRACKETED_ROW
 ]
 
 
