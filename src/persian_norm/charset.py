@@ -13,10 +13,13 @@ The inventories live in the tab-separated files under
 The three fold passes each map characters through one table.
 ``composed_fold`` gives, for any set of them, one function that folds as
 those passes would one after the other: a ``sub`` over the few ligatures
-spelled with more than one character, where a ``search`` finds one, then a
-single ``str.translate`` through one table composed from theirs, from the
-first character that the table changes.  A text with nothing to decode,
-fold, strip or collapse comes back from the passes as the same object.
+spelled with more than one character, where a ``search`` finds one, then
+one table composed from theirs, from the first character that it changes.
+A long text is folded one distinct changed character at a time, each by
+one ``str.replace`` through the whole text; a short rest, and the rest of
+a text with many distinct changed characters, by one ``str.translate``.
+A text with nothing to decode, fold, strip or collapse comes back from the
+passes as the same object.
 """
 
 from __future__ import annotations
@@ -41,15 +44,27 @@ FOLD_TABLES = {
 ENTITY_DEPTH = 8
 
 
+# a decimal character reference with a Persian or Arabic-Indic digit, which
+# ``html.unescape`` reads only in ASCII digits
+_NON_ASCII_CHARREF = re.compile("&#[0-9]*[۰-۹٠-٩][0-9۰-۹٠-٩]*")
+_ASCII_DIGITS = str.maketrans("۰۱۲۳۴۵۶۷۸۹٠١٢٣٤٥٦٧٨٩", "0123456789" * 2)
+
+
+def _ascii_charref(m: re.Match) -> str:
+    return m.group().translate(_ASCII_DIGITS)
+
+
 def decode_markup_entities(text: str) -> str:
     """``html.unescape`` until nothing changes, for up to ``ENTITY_DEPTH``
     levels of escaping: an escaped entity such as ``&amp;#49;`` decodes to
     ``1``, before the digit fold, and not to a reference the fold would
-    make unreadable."""
+    make unreadable.  Before each level, the digits of a decimal character
+    reference are written in ASCII, so ``&#۱۷۴۰;`` decodes as ``&#1740;``
+    does."""
     if "&" not in text:  # most text: cost no more than ``html.unescape``
         return text
     for _ in range(ENTITY_DEPTH):
-        decoded = html.unescape(text)
+        decoded = html.unescape(_NON_ASCII_CHARREF.sub(_ascii_charref, text))
         if decoded == text:
             break
         text = decoded
@@ -58,21 +73,22 @@ def decode_markup_entities(text: str) -> str:
 
 def check_fold_order(tables: Sequence[dict[str, str]]) -> None:
     """Raise ValueError if ``tables`` break the conditions under which
-    folding with them composed is folding with each in turn: only the first
-    table may have surfaces of more than one character, and no replacement
-    may hold a one-character surface of its own table or of a later one."""
+    folding with them composed is folding with each in turn, one changed
+    character after another: only the first table may have surfaces of more
+    than one character, and no replacement may hold a one-character surface
+    of any table."""
+    surfaces = {s for tbl in tables for s in tbl if len(s) == 1}
     for i, tbl in enumerate(tables):
-        later = {s for t in tables[i:] for s in t if len(s) == 1}
         for surface, replacement in tbl.items():
             if i and len(surface) > 1:
                 raise ValueError(
                     f"surface {surface!r} of more than one character "
                     f"in fold table {i}")
-            held = later.intersection(replacement)
+            held = surfaces.intersection(replacement)
             if held:
                 raise ValueError(
                     f"replacement of {surface!r} holds {min(held)!r}, "
-                    f"a surface of fold table {i} or a later one")
+                    "a surface of a fold table")
 
 
 check_fold_order(tuple(FOLD_TABLES.values()))
@@ -81,6 +97,15 @@ check_fold_order(tuple(FOLD_TABLES.values()))
 # raised and cleared KeyError; ASCII, the Arabic block and ZWNJ are most of
 # the text, so those absent from every fold table map to themselves
 _COMMON = {cp: cp for cp in (*range(0x80), *range(0x600, 0x700), 0x200C)}
+
+# a replace step has a fixed cost of about 0.5 us, what translating about 12
+# characters costs, and a line of prose holds several distinct changed
+# characters: a rest shorter than this is translated
+_LONG_REST = 256
+# on 1 M characters a ``replace`` costs 0.5-0.7 ms and the ``translate``
+# about 42 ms: translating the rest after this many replacements bounds the
+# fold at about twice a plain translate (ski rental)
+_REPLACE_BUDGET = 64
 
 
 def _changed_class(codepoints: Iterable[int]) -> re.Pattern:
@@ -105,16 +130,21 @@ def composed_fold(passes: frozenset[str]) -> Callable[[str], str]:
 
     The function runs the ligature ``sub`` only where a ``search`` finds a
     ligature, then searches one class of the code points that the composed
-    table changes: a text without one is returned as it is, and a text with
-    one is translated from that character on."""
+    table changes: a text without one is returned as it is.  While at least
+    ``_LONG_REST`` characters are left from the match on, and fewer than
+    ``_REPLACE_BUDGET`` distinct characters have been replaced, every
+    occurrence of the matched character is replaced and the search resumes at the match;
+    what is left is translated from the match on."""
     tables = [tbl for name, tbl in FOLD_TABLES.items() if name in passes]
     if not tables:
         return lambda text: text
     # ``check_fold_order`` keeps every replacement clear of the surfaces of
-    # its own and later tables, so a surface folds, through all the tables
-    # in turn, to its replacement in the first table that has it; and it
-    # keeps the ligatures (the longer surfaces) in the first table, so the
-    # translate after their sub leaves their replacements as they are
+    # every table, so a surface folds, through all the tables in turn, to
+    # its replacement in the first table that has it, and no replacement is
+    # changed by a later one, whether the surfaces are translated at once or
+    # replaced one after another; and it keeps the ligatures (the longer
+    # surfaces) in the first table, so the fold after their sub leaves their
+    # replacements as they are
     folded = {}
     for tbl in reversed(tables):
         folded.update((ord(s), r) for s, r in tbl.items() if len(s) == 1)
@@ -133,8 +163,19 @@ def composed_fold(passes: frozenset[str]) -> Callable[[str], str]:
         m = changed.search(text)
         if m is None:
             return text
-        # the characters before the first changed one are their own fold
+        # the characters before the first changed one are their own fold,
+        # and no replacement holds a surface, so a replaced character is
+        # gone from the whole text and the search resumes where it stood
         i = m.start()
+        replaced = 0
+        while len(text) - i >= _LONG_REST and replaced < _REPLACE_BUDGET:
+            c = m.group()
+            text = text.replace(c, mapping[ord(c)])
+            replaced += 1
+            m = changed.search(text, i)
+            if m is None:
+                return text
+            i = m.start()
         return text[:i] + text[i:].translate(mapping)
 
     return fold

@@ -15,6 +15,8 @@ from persian_norm.charset import (
     ENTITY_DEPTH,
     _EMOJI_PAT,
     _EMOJI_RANGES,
+    _LONG_REST,
+    _REPLACE_BUDGET,
     _changed_class,
     check_fold_order,
     composed_fold,
@@ -176,18 +178,39 @@ def _sequential_general(text, enabled):
     return text
 
 
-def _fold_fuzz_lines(n, seed=0):
+def _fold_fuzz_pieces():
     chars = set()
     for _, tbl, _ in _FOLD_PASSES:
         for surface, replacement in tbl.items():
             chars.update(surface + replacement)
-    pieces = sorted(chars) + [
+    return sorted(chars) + [
         "صلّـے", "صلـے", "&amp;", "&lt", "&amp;lt;", "➀", "👨\u200d👩\u200d👧", "😀\u200d",
         "\ufe0f", "←", "\u218f", " ", "  ", "a", "ب",
     ] * 3
+
+
+def _fold_fuzz_lines(n, seed=0):
+    pieces = _fold_fuzz_pieces()
     rng = random.Random(seed)
     return ["".join(rng.choice(pieces) for _ in range(rng.randrange(1, 20)))
             for _ in range(n)]
+
+
+def _long_fold_fuzz_texts(n, seed=0):
+    """Texts of 256-5 000 characters, each drawn from a few of the fuzz
+    pieces or from all of them, so that the fold replaces every changed
+    character of some and spends its budget on others."""
+    pieces = _fold_fuzz_pieces()
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(n):
+        pool = rng.sample(pieces, rng.choice([2, 8, 40, len(pieces)]))
+        size = rng.randrange(256, 5001)
+        text = ""
+        while len(text) < size:
+            text += rng.choice(pool)
+        texts.append(text[:size])
+    return texts
 
 
 def test_composed_fold_matches_the_passes_in_turn():
@@ -200,6 +223,16 @@ def test_composed_fold_matches_the_passes_in_turn():
                     _sequential_general(text, subset), (subset, text)
 
 
+def test_composed_fold_matches_the_passes_in_turn_on_long_texts():
+    texts = _long_fold_fuzz_texts(60)
+    for r in range(len(PASS_NAMES) + 1):
+        for subset in itertools.combinations(PASS_NAMES, r):
+            config = PipelineConfig(enabled_passes=frozenset(subset))
+            for text in texts:
+                assert normalize_general(text, config) == \
+                    _sequential_general(text, subset), (subset, text)
+
+
 def test_fold_order_check_raises_on_a_later_surface_in_a_replacement():
     with pytest.raises(ValueError, match="'x'"):
         check_fold_order([{"a": "bx"}, {"x": "y"}])
@@ -208,6 +241,10 @@ def test_fold_order_check_raises_on_a_later_surface_in_a_replacement():
     with pytest.raises(ValueError, match="'ab'"):
         check_fold_order([{"c": "d"}, {"ab": "x"}])
     check_fold_order([{"ab": "x"}, {"y": "z"}])
+    # a surface of an earlier table, which the fold replaces one character
+    # after another, would be replaced again inside a later replacement
+    with pytest.raises(ValueError, match="'x'"):
+        check_fold_order([{"x": "y"}, {"a": "bx"}])
 
 
 def test_emoji_guard_starts_at_the_lowest_emoji():
@@ -270,6 +307,50 @@ def test_fold_from_the_first_changed_character(text):
     for enabled in _FOLD_SUBSETS:
         assert composed_fold(enabled)(text) == _sequential_general(text, enabled), \
             (enabled, text)
+
+
+def _fold_logging_replaces(text):
+    """The composed fold of every fold pass on ``text``, and the characters
+    that ``str.replace`` replaced, one entry per call."""
+    replaced = []
+
+    class Logged(str):
+        def replace(self, old, new, *count):
+            replaced.append(old)
+            return Logged(str.replace(self, old, new, *count))
+
+    folded = composed_fold(frozenset(_FOLD_NAMES))(Logged(text))
+    return folded, replaced
+
+
+_LONG = "ب" * _LONG_REST
+_TATWEEL = "\u0640"  # folds to nothing
+
+
+# each way out of replacing one changed character after another: a rest
+# shorter than ``_LONG_REST``, no changed character left, the budget spent
+@pytest.mark.parametrize("text, replaced", [
+    ("1ب1" + _LONG + "2" + "ب" * 100 + "2ي", ["1"]),
+    (_TATWEEL + "1" + _LONG + _TATWEEL + "1", [_TATWEEL, "1"]),
+    (_LONG + "🄰" + _LONG + "🄰ب", ["🄰"]),
+    ("ي" + _LONG + "🄰" + _LONG + "ي", ["ي", "🄰"]),
+], ids=["short_rest", "deletion_before_a_changed_character", "astral",
+        "astral_after_a_bmp_character"])
+def test_long_text_folds_one_changed_character_at_a_time(text, replaced):
+    folded, log = _fold_logging_replaces(text)
+    assert folded == _sequential_general(text, _FOLD_NAMES)
+    assert log == replaced
+
+
+def test_long_text_with_every_surface_spends_the_replace_budget():
+    text = "".join(s + "ب" for s in _SURFACES) * 2
+    # the rest from the first surface past the budget is long
+    assert len(text) - 2 * _REPLACE_BUDGET >= _LONG_REST
+    folded, log = _fold_logging_replaces(text)
+    assert folded == _sequential_general(text, _FOLD_NAMES)
+    # each of the first ``_REPLACE_BUDGET`` surfaces is replaced once, and
+    # the rest is translated
+    assert log == _SURFACES[:_REPLACE_BUDGET]
 
 
 @pytest.mark.parametrize("text", ["", "ب", "متن ساده فارسی با ۱۲۳", _CLEAN + " a b"])

@@ -24,6 +24,7 @@ from persian_norm import (
     scan,
     split_sentences,
 )
+from persian_norm.charset import FOLD_TABLES
 from persian_norm.scanner import _accepted
 from test_scanner import one_match_rows
 
@@ -217,10 +218,21 @@ def test_zwj_joined_emoji_run_general():
     assert growth < GROWTH_BOUND
 
 
+# every one-character surface of the fold tables
+_SURFACES = "".join(sorted({s for tbl in FOLD_TABLES.values() for s in tbl
+                            if len(s) == 1}))
+
+
 @pytest.mark.parametrize("shape", [
     lambda n: "ب" * n + "1",  # the one changed character is the last
     lambda n: "1" + "ب" * n,  # every character after the first is translated
-], ids=["changed_last", "changed_first"])
+    # one changed character in ten: it is replaced through the whole text
+    lambda n: ("ب" * 9 + "1") * (n // 10),
+    # more distinct changed characters than the fold replaces one at a
+    # time, so it translates the rest
+    lambda n: (_SURFACES * (n // len(_SURFACES) + 1))[:n],
+], ids=["changed_last", "changed_first", "changed_every_tenth",
+        "every_surface"])
 def test_fold_from_the_first_changed_character_general(shape):
     growth = _growth(normalize_general, shape(100000), shape(200000), calls=5)
     assert growth < GROWTH_BOUND

@@ -74,6 +74,17 @@ def test_speech_reads_a_number_written_as_entities():
     assert normalize_speech("عدد &#49;&#50; است") == "عدد دوازده است"
 
 
+# a decimal reference written in Persian or Arabic-Indic digits decodes as
+# the same reference in ASCII digits, at any level of escaping
+@pytest.mark.parametrize("text", ["&#۱۷۴۰;", "&#١٧٤٠;", "&amp;#۱۷۴۰;"])
+def test_general_decodes_a_reference_in_persian_or_arabic_indic_digits(text):
+    assert normalize_general(text) == "ی"
+
+
+def test_speech_reads_what_a_reference_in_persian_digits_decodes_to():
+    assert normalize_speech("متن &#۱۷۴۰; تمام") == "متن ی تمام"
+
+
 # the digit-run row sits before DECIMAL's, so a fraction of a length and
 # checksum the row claims is read as a phone, ID or card, and the point is
 # left in the text (ROADMAP direction 2)

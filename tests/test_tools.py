@@ -57,9 +57,27 @@ def test_row_costs_prints_each_row_the_gate_runs():
     assert (workload, path, runs, matches, best) == \
         ("adversarial", "scan", "runs", "matches", "best_ms")
     assert int(ran) > 0 and int(found) > 0 and float(ms) > 0
-    # both paths are printed; PLAIN_NUMBER comes after the last class whose
+    # every path is printed; PLAIN_NUMBER comes after the last class whose
     # spans hold a dot, so only ``scan`` runs it
-    assert {ln.split()[1] for ln in lines} == {"scan", "protect"}
+    assert {ln.split()[1] for ln in lines} == {"general", "scan", "protect"}
+
+
+def test_row_costs_prints_each_step_of_the_general_pass():
+    src = Path(persian_norm.__file__).resolve().parent.parent
+    out = _row_costs(str(src), "adversarial")
+    assert out.returncode == 0, out.stderr
+    steps = [ln.split() for ln in out.stdout.splitlines() if " general " in ln]
+    assert [(workload, i, step) for workload, _, i, step, *_ in steps] == [
+        ("adversarial", "0", "decode_markup_entities"),
+        ("adversarial", "1", "composed_fold"),
+        ("adversarial", "2", "strip_emojis"),
+    ]
+    for *_, runs, ran, changed, n_changed, best, ms in steps:
+        assert (runs, changed, best) == ("runs", "changed", "best_ms")
+        assert int(ran) > 0 and 0 <= int(n_changed) <= int(ran)
+        assert float(ms) >= 0
+    # the adversarial texts hold ASCII digits, which the fold changes
+    assert int(steps[1][7]) > 0
 
 
 def test_row_costs_needs_a_source_tree_and_known_workloads():

@@ -1,13 +1,20 @@
-"""Print what each scanner row costs on the benchmark workloads, so that two
-source trees can be compared row for row.
+"""Print what each step of ``normalize_general`` and each scanner row costs
+on the benchmark workloads, so that two source trees can be compared step
+for step and row for row.
 
 Usage: python tools/row_costs.py SRC_DIR [WORKLOAD ...]
 
 ``SRC_DIR`` is the ``src/`` directory of the tree under test; the tool
 exits 2 unless ``persian_norm`` is imported from under it.  The workloads
 (all of ``perfbench/workloads.py``'s when none is named) are built at seed
-1.  Each row's pattern is wrapped in a proxy that times the row's own
-``finditer``, then the real entry points run on the workload's docs:
+1.  Each workload's first lines are its ``general`` path: each step of
+``normalize_general`` with every pass enabled (entity decoding, the
+composed fold, emoji removal) runs five times on what the step before it
+gave.  A line gives the step's index and name, how many texts it ran on,
+how many it changed and its best time of the five in milliseconds.
+
+Then each row's pattern is wrapped in a proxy that times the row's own
+``finditer``, and the real entry points run on the workload's docs:
 
 * ``scan``: ``scanner.scan`` on ``normalize_general`` of each doc, which
   runs the rows of ``scanner._DETECTORS``;
@@ -83,12 +90,33 @@ def _timed_pass(scanner, path: str, texts: list[str]) -> list[Timed]:
     return timed
 
 
+def general_costs(pn, name: str, docs: list[str]) -> list[str]:
+    """One line per step of ``normalize_general`` with every pass enabled,
+    each step run on what the step before it gave."""
+    (decode_name, decode), (strip_name, strip) = pn.pipeline.GENERAL_PASSES
+    fold = pn.charset.composed_fold(frozenset(pn.pipeline.PASS_NAMES))
+    steps = [(decode_name, decode), ("composed_fold", fold), (strip_name, strip)]
+    lines = []
+    texts = docs
+    for i, (step, fn) in enumerate(steps):
+        best = float("inf")
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            out = [fn(text) for text in texts]
+            best = min(best, time.perf_counter() - start)
+        changed = sum(a != b for a, b in zip(texts, out))
+        lines.append(f"{name} general {i} {step} runs {len(texts)} "
+                     f"changed {changed} best_ms {best * 1e3:.3f}")
+        texts = out
+    return lines
+
+
 def row_costs(pn, workloads, name: str) -> list[str]:
     docs = workloads.build(name, SEED).docs
     texts = {"scan": [pn.normalize_general(doc) for doc in docs],
              "protect": docs}
     classes = [cls for cls, rows in pn.scanner._CLASSES.items() for _ in rows]
-    lines = []
+    lines = general_costs(pn, name, docs)
     for path, path_texts in texts.items():
         passes = [_timed_pass(pn.scanner, path, path_texts)
                   for _ in range(REPEATS)]
